@@ -14,7 +14,7 @@ from typing import Callable, Dict, Set
 from repro.graphs.labelings import Instance, Labeling
 from repro.graphs.port_graph import PortGraph
 from repro.model.batched import gather_kernel
-from repro.model.probe import ProbeAlgorithm, ProbeView
+from repro.model.probe import CostProfile, ProbeAlgorithm, ProbeView
 from repro.model.views import Ball, gather_ball
 
 
@@ -91,20 +91,38 @@ class FullGatherAlgorithm(ProbeAlgorithm):
     def run_node_batch(self, oracle, nodes):
         """Whole-run batch over the flat-array CSR kernel.
 
-        The kernel's :meth:`~repro.model.batched.CsrGatherKernel.ball`
-        replicates the scalar gather bit-for-bit (content *and*
-        insertion orders), so the reconstructed local instance — and
-        therefore the reference solve — is identical to the scalar
-        path's; only the per-query engine bookkeeping is skipped.
+        A full gather is the start node's whole component, so every start
+        node of one component would rebuild and solve the same instance.
+        Only the first start node of each component gathers a
+        :class:`Ball` (a bit-exact replica of the scalar gather) and runs
+        the reference on it; the component's later start nodes read their
+        entry from that one output dict.  This is exact because every
+        full-gather reference answers each node the same whatever order
+        the reconstructed instance's nodes were inserted in (DESIGN.md
+        §9.3).  Their cost profile comes from
+        :meth:`~repro.model.batched.CsrGatherKernel.summarize`, which
+        measures the same gather without building a ball.
         """
         kernel = gather_kernel(oracle)
         if kernel is None:
             return None
         radius = max(1, oracle.n)
+        solved: Dict[int, Dict[int, object]] = {}
         triples = []
         for node in nodes:
-            ball, profile = kernel.ball(node, radius)
-            local = ball_to_instance(ball, oracle.n)
-            outputs = self._reference(local)
+            outputs = solved.get(node)
+            if outputs is None:
+                ball, profile = kernel.ball(node, radius)
+                outputs = self._reference(ball_to_instance(ball, oracle.n))
+                for member in ball.info:
+                    solved[member] = outputs
+            else:
+                volume, distance, queries = kernel.summarize(node, radius)
+                profile = CostProfile(
+                    volume=volume,
+                    distance=distance,
+                    queries=queries,
+                    random_bits=0,
+                )
             triples.append((node, outputs[node], profile))
         return triples

@@ -22,8 +22,11 @@ visited set.
   Ball` content *and insertion orders* (discovery order, port order,
   adjacency row creation order), plus the exact
   :class:`~repro.model.probe.CostProfile` the scalar engine would have
-  produced.  Full-gather algorithms rebuild their local instance from it
-  and reference-solve as before, so outputs are bitwise identical.
+  produced.  Full-gather algorithms rebuild and reference-solve it once
+  per component and give the component's other start nodes their entry
+  of that solve, with the profile from :meth:`summarize`; outputs equal
+  the scalar path's because every full-gather reference is independent
+  of node insertion order (DESIGN.md §9.3).
 
 Correctness argument (DESIGN.md §9.3): ``gather_ball`` is a level-order
 BFS probing each expanded node's *connected* ports in ascending order —

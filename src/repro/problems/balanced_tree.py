@@ -29,6 +29,7 @@ from repro.graphs.tree_structure import (
     is_internal,
     is_leaf,
     left_child_node,
+    parent_node,
     right_child_node,
 )
 from repro.lcl.base import LCLProblem, Violation
@@ -241,32 +242,27 @@ def reference_solution(instance: Instance) -> Dict[int, object]:
     with an incompatible G_T descendant ⇒ (U, port toward such a child,
     preferring LC); otherwise (B, P(v)).  Inconsistent nodes output (B, ⊥)
     as in the Proposition 4.8 algorithm.
+
+    "Has an incompatible descendant" spreads upward from the incompatible
+    nodes through compatible internal parents, so every node gets the same
+    answer whatever order the instance's nodes were inserted in — also on
+    a cyclic G_T, where a memoized downward search would cut the cycle at
+    whichever node it entered first.
     """
     t = InstanceTopology(instance)
     compat = compatibility_map(instance)
-    tainted: Dict[int, bool] = {}
-
-    def has_bad_below(v: int, stack: frozenset) -> bool:
-        """Is some node at-or-below ``v`` (in G_T) incompatible?"""
-        if v in tainted:
-            return tainted[v]
-        if v in stack:  # cycle guard: treat re-entry as clean
-            return False
-        if compat.get(v) is None:
-            # Inconsistent nodes terminate G_T downward exploration.
-            tainted[v] = False
-            return False
-        if compat[v] is False:
-            tainted[v] = True
-            return True
-        bad = False
-        if is_internal(t, v):
-            new_stack = stack | {v}
-            for child in (left_child_node(t, v), right_child_node(t, v)):
-                if child is not None and has_bad_below(child, new_stack):
-                    bad = True
-        tainted[v] = bad
-        return bad
+    tainted = {v for v, c in compat.items() if c is False}
+    stack = list(tainted)
+    while stack:
+        child = stack.pop()
+        parent = parent_node(t, child)
+        if parent is None or parent in tainted or not compat.get(parent):
+            continue
+        if not is_internal(t, parent):
+            continue
+        if child in (left_child_node(t, parent), right_child_node(t, parent)):
+            tainted.add(parent)
+            stack.append(parent)
 
     outputs: Dict[int, object] = {}
     for v in instance.graph.nodes():
@@ -278,11 +274,9 @@ def reference_solution(instance: Instance) -> Dict[int, object]:
             outputs[v] = (BALANCED, t.label(v).parent)
         else:
             label = t.label(v)
-            lc = left_child_node(t, v)
-            rc = right_child_node(t, v)
-            if has_bad_below(lc, frozenset({v})):
+            if left_child_node(t, v) in tainted:
                 outputs[v] = (UNBALANCED, label.left_child)
-            elif has_bad_below(rc, frozenset({v})):
+            elif right_child_node(t, v) in tainted:
                 outputs[v] = (UNBALANCED, label.right_child)
             else:
                 outputs[v] = (BALANCED, label.parent)

@@ -24,6 +24,9 @@ from repro.registry import iter_compatible, load_components
 
 load_components()
 CELLS = list(iter_compatible())
+FULL_GATHER = [
+    c for c in CELLS if isinstance(c.algorithm.make(), FullGatherAlgorithm)
+]
 
 
 class _BallCapture(ProbeAlgorithm):
@@ -105,24 +108,62 @@ class TestDispatch:
         algorithm = FullGatherAlgorithm(lambda local: {}, name="noop")
         assert algorithm.run_node_batch(StaticOracle(instance), []) is None
 
-    def test_full_gather_batch_matches_scalar_runs(self):
-        cells = [
-            c
-            for c in CELLS
-            if isinstance(c.algorithm.make(), FullGatherAlgorithm)
-        ]
-        assert cells, "registry lost its full-gather algorithms"
-        cell = cells[0]
-        instance = cell.family.instance(cell.family.quick[0])
-        oracle = compile_oracle(instance)
-        algorithm = cell.algorithm.make()
-        nodes = list(instance.graph.nodes())
-        batched = algorithm.run_node_batch(oracle, nodes)
-        assert batched is not None
-        assert [node for node, _, _ in batched] == nodes
-        for node, output, profile in batched:
-            scalar_output, scalar_profile = execute_at(
-                oracle, algorithm, node
+    def test_full_gather_cases_include_several_components(self):
+        assert FULL_GATHER, "registry lost its full-gather algorithms"
+        assert any(
+            len(cell.family.instance(param).graph.connected_components()) > 1
+            for cell in FULL_GATHER
+            for param in cell.family.quick
+        )
+
+    @pytest.mark.parametrize(
+        "cell, param",
+        [
+            pytest.param(
+                cell,
+                param,
+                id=f"{cell.algorithm.name}@{cell.family.name}:{param!r}",
             )
-            assert output == scalar_output
-            assert profile == scalar_profile
+            for cell in FULL_GATHER
+            for param in cell.family.quick
+        ],
+    )
+    def test_full_gather_batch_matches_scalar_runs(self, cell, param):
+        """Each component is solved once; every node matches ``execute_at``.
+
+        The batch is given all start nodes shuffled, and a contiguous
+        strict subset of them (the shape of a process-pool chunk).
+        """
+        instance = cell.family.instance(param)
+        oracle = compile_oracle(instance)
+        scalar_algorithm = cell.algorithm.make()
+        reference = scalar_algorithm._reference
+        nodes = list(instance.graph.nodes())
+        scalar = {
+            node: execute_at(oracle, scalar_algorithm, node) for node in nodes
+        }
+        component = {
+            v: index
+            for index, members in enumerate(
+                instance.graph.connected_components()
+            )
+            for v in members
+        }
+        shuffled = list(nodes)
+        random.Random(repr(param)).shuffle(shuffled)
+        chunk = nodes[len(nodes) // 3: 2 * len(nodes) // 3 + 1]
+        assert 0 < len(chunk) < len(nodes)
+        for batch in (shuffled, chunk):
+            calls = []
+
+            def counted(local):
+                calls.append(local)
+                return reference(local)
+
+            algorithm = FullGatherAlgorithm(counted, name=scalar_algorithm.name)
+            batched = algorithm.run_node_batch(oracle, batch)
+            assert batched is not None
+            assert [node for node, _, _ in batched] == batch
+            for node, output, profile in batched:
+                assert (output, profile) == scalar[node]
+            assert len(calls) == len({component[v] for v in batch})

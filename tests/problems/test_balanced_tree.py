@@ -177,6 +177,38 @@ class TestDisjointnessInstances:
         assert outputs[root][0] == UNBALANCED
 
 
+class TestCyclicGT:
+    """The reference on a G_T cycle above the only incompatible node."""
+
+    def test_structure(self, cyclic_gt_instance):
+        inst = cyclic_gt_instance
+        cmap = compatibility_map(inst)
+        assert inst.n == 42 and inst.graph.max_degree == 5
+        assert [v for v, c in cmap.items() if c is not True] == [
+            inst.meta["incompatible"]
+        ]
+
+    def test_answer_independent_of_insertion_order(
+        self, cyclic_gt_instance, reinsert
+    ):
+        """A memoized downward search cut the cycle where it entered it.
+
+        With c3 inserted first, c1 answered (B, P(c1)) although its LC
+        child c2 answers U.  Spreading the taint upward marks the whole
+        cycle, whichever node comes first.
+        """
+        inst = cyclic_gt_instance
+        nodes = list(inst.graph.nodes())
+        expected = reference_solution(inst)
+        assert PROBLEM.validate(inst, expected) == []
+        for first in inst.meta["cycle"]:
+            order = [first] + [v for v in nodes if v != first]
+            outputs = reference_solution(reinsert(inst, order))
+            assert outputs == expected
+        for v in inst.meta["cycle"]:
+            assert expected[v] == (UNBALANCED, inst.label(v).left_child)
+
+
 @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=10**6))
 @settings(max_examples=30, deadline=None)
 def test_root_output_encodes_disjointness(log_n, seed):
