@@ -454,6 +454,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             store = ResultStore(args.store) if args.store else None
         except ResultStoreError as exc:
             return _fail(str(exc))
+        if store is not None:
+            stack.callback(store.close)
         try:
             if args.suites:
                 for name in args.suites:

@@ -102,9 +102,12 @@ def _corpus_list(corpus, args: argparse.Namespace) -> int:
         ],
     }
     if args.store:
+        from contextlib import closing
+
         from repro.corpus import ResultStore
 
-        payload["store"] = ResultStore(args.store).summary()
+        with closing(ResultStore(args.store)) as store:
+            payload["store"] = store.summary()
     if args.json:
         print(json.dumps(payload, indent=2))
         return 0

@@ -89,6 +89,9 @@ def cmd_mc(args: argparse.Namespace) -> int:
         from repro.faults.journal import JournalError
 
         try:
+            store = ResultStore(args.store) if args.store else None
+            if store is not None:
+                stack.callback(store.close)
             result = run_trials(
                 problem.make(),
                 instance,
@@ -97,7 +100,7 @@ def cmd_mc(args: argparse.Namespace) -> int:
                 base_seed=base_seed,
                 backend=backend,
                 journal=args.journal,
-                store=ResultStore(args.store) if args.store else None,
+                store=store,
                 progress=progress if args.progress else None,
             )
         except (JournalError, ResultStoreError) as exc:

@@ -31,6 +31,8 @@ import json
 import os
 import sqlite3
 import subprocess
+import threading
+import weakref
 from contextlib import contextmanager
 from datetime import datetime, timezone
 from functools import lru_cache
@@ -117,34 +119,122 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
+class _Connection:
+    """A store's sqlite connection in this process, opened on first use.
+
+    Kept apart from :class:`ResultStore` so that the drop-time finalizer
+    and the fork hooks reach the connection without keeping the store
+    alive.  ``pid`` is the process that opened ``conn``.
+    """
+
+    __slots__ = ("__weakref__", "lock", "conn", "pid")
+
+    def __init__(self) -> None:
+        # Re-entrant: a dropped store's finalizer may run (from a gc pass)
+        # inside the fork hook that already holds this lock.
+        self.lock = threading.RLock()
+        self.conn: Optional[sqlite3.Connection] = None
+        self.pid = 0
+        _LIVE.add(self)
+
+    def close(self) -> None:
+        with self.lock:
+            self.close_locked()
+
+    def close_locked(self) -> None:
+        if self.conn is None:
+            return
+        if self.pid == os.getpid():
+            self.conn.close()
+        else:
+            # A parent's connection: never used, never closed here, and
+            # kept referenced because dropping it would close it.
+            _INHERITED.append(self.conn)
+        self.conn = None
+
+
+_LIVE: "weakref.WeakSet[_Connection]" = weakref.WeakSet()
+_INHERITED: List[sqlite3.Connection] = []
+_FORK_LOCK = threading.Lock()
+_HELD: List[_Connection] = []
+
+
+def _before_fork() -> None:
+    # sqlite keeps per-process lock state for every open file.  A child
+    # that inherits it believes it holds its parent's locks, so once the
+    # parent closed its last connection, sqlite would checkpoint and
+    # delete the WAL under the child's own connection and lose the
+    # child's later commits.  So no connection crosses a fork: close them
+    # all first, holding each lock until the fork is done.
+    _FORK_LOCK.acquire()
+    for handle in list(_LIVE):
+        handle.lock.acquire()
+        _HELD.append(handle)
+        handle.close_locked()
+
+
+def _after_fork() -> None:
+    while _HELD:
+        _HELD.pop().lock.release()
+    _FORK_LOCK.release()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(
+        before=_before_fork,
+        after_in_parent=_after_fork,
+        after_in_child=_after_fork,
+    )
+
+
 class ResultStore:
     """Append-only campaign results in one sqlite file.
 
-    A fresh connection per operation keeps the store safe across
-    ``fork()`` (the process backends fork workers mid-campaign; an
-    inherited sqlite connection is not) and makes every method usable
-    from any process without coordination beyond sqlite's own locks.
+    A store keeps one connection per process, opened on first use with
+    WAL and ``busy_timeout`` set once, and shared by every thread under
+    a per-store lock.  :meth:`close` closes it (the next call opens a
+    new one), and so does dropping the store.  Each method still
+    commits its own transaction, so every record is durable when the
+    call returns and no read transaction stays open between calls.
+    Every connection is closed before a ``fork()``; a child (its pid
+    differs from the opener's) opens its own on first use and never
+    uses or closes its parent's.
     """
 
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
+        self._handle = _Connection()
+        weakref.finalize(self, self._handle.close)
         self._ensure_schema()
+
+    def close(self) -> None:
+        """Close this process's connection; the next call opens a new one."""
+        self._handle.close()
+
+    def _open(self) -> sqlite3.Connection:
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        conn = sqlite3.connect(
+            str(self.path), timeout=30.0, check_same_thread=False
+        )
+        try:
+            conn.execute("PRAGMA journal_mode=WAL")
+            conn.execute("PRAGMA busy_timeout=30000")
+        except sqlite3.DatabaseError as exc:
+            conn.close()
+            raise ResultStoreError(
+                f"{self.path} is not a usable result store: {exc}"
+            ) from exc
+        return conn
 
     @contextmanager
     def _connect(self):
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        conn = sqlite3.connect(str(self.path), timeout=30.0)
-        try:
-            try:
-                conn.execute("PRAGMA journal_mode=WAL")
-                conn.execute("PRAGMA busy_timeout=30000")
-            except sqlite3.DatabaseError as exc:
-                raise ResultStoreError(
-                    f"{self.path} is not a usable result store: {exc}"
-                ) from exc
-            yield conn
-        finally:
-            conn.close()
+        handle = self._handle
+        with handle.lock:
+            if handle.conn is None or handle.pid != os.getpid():
+                handle.close_locked()
+                handle.conn = self._open()
+                handle.pid = os.getpid()
+            yield handle.conn
 
     def _ensure_schema(self) -> None:
         with self._connect() as conn:

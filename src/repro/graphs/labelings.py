@@ -98,7 +98,8 @@ class Labeling:
 
     def get(self, node_id: int) -> NodeLabel:
         """Read-only access: returns an empty label without inserting it."""
-        return self._labels.get(node_id, NodeLabel())
+        label = self._labels.get(node_id)
+        return NodeLabel() if label is None else label
 
     def __setitem__(self, node_id: int, label: NodeLabel) -> None:
         self._labels[node_id] = label

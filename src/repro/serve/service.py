@@ -189,6 +189,8 @@ class ReproService:
             await self._server.wait_closed()
             self._server = None
         await self.scheduler.close()
+        if self.store is not None:
+            self.store.close()
 
     # ------------------------------------------------------------------
     # connection handling

@@ -6,12 +6,16 @@ runs even when the handler bails out through an early ``_fail`` return.
 These tests monkeypatch the backend factory with a tracking double and
 drive each handler down its early-exit paths — the regression suite for
 the pool leaks ``repro mc --quick`` and ``repro sweep`` used to have.
+The same holds for the result store a ``--store`` flag (or a service's
+``store`` setting) opens: its owner closes its connection.
 """
 
 import pytest
 
+import repro.corpus as corpus_module
 import repro.exec.backends as backends_module
 from repro.cli import main
+from repro.corpus import ResultStore
 from repro.exec.backends import SerialBackend
 
 
@@ -146,3 +150,88 @@ class TestAdversaryLifecycle:
         ])
         assert code == 0
         assert tracked.close_calls == 1
+
+
+class TrackingStore(ResultStore):
+    """A result store that remembers how often close() ran."""
+
+    def __init__(self, path):
+        super().__init__(path)
+        self.close_calls = 0
+
+    def close(self):
+        self.close_calls += 1
+        super().close()
+
+
+@pytest.fixture()
+def stores(monkeypatch):
+    """Every result store the code under test constructs, tracked."""
+    made = []
+
+    def factory(path):
+        store = TrackingStore(path)
+        made.append(store)
+        return store
+
+    monkeypatch.setattr(corpus_module, "ResultStore", factory)
+    return made
+
+
+class TestStoreLifecycle:
+    def test_sweep_success_closes(self, stores, tmp_path, capsys):
+        code = main([
+            "sweep", "--family", "cycle", "--algorithm", "cycle/2-coloring",
+            "--store", str(tmp_path / "r.sqlite"), "--json",
+        ])
+        assert code == 0
+        assert [s.close_calls for s in stores] == [1]
+
+    def test_sweep_early_exits_close(self, stores, tmp_path, capsys):
+        spec = tmp_path / "specs.json"
+        spec.write_text('{"not": "a list"}\n')
+        store = str(tmp_path / "r.sqlite")
+        assert main(["sweep", "--store", store]) == 2
+        assert main(["sweep", "--spec-file", str(spec), "--store", store]) == 2
+        assert [s.close_calls for s in stores] == [1, 1]
+
+    def test_mc_success_closes(self, stores, tmp_path, capsys):
+        code = main([
+            "mc", "cycle/2-coloring", "--param", "8", "--quick",
+            "--max-trials", "4", "--min-trials", "4", "--json",
+            "--store", str(tmp_path / "r.sqlite"),
+        ])
+        assert code == 0
+        assert [s.close_calls for s in stores] == [1]
+
+    def test_mc_journal_error_closes(self, stores, tmp_path, capsys):
+        journal = tmp_path / "j.jsonl"
+        journal.write_text('{"journal": "something else"}\n')
+        code = main([
+            "mc", "cycle/2-coloring", "--param", "8", "--quick",
+            "--journal", str(journal),
+            "--store", str(tmp_path / "r.sqlite"),
+        ])
+        assert code == 2
+        assert "not a" in capsys.readouterr().err
+        assert [s.close_calls for s in stores] == [1]
+
+    def test_corpus_list_store_closes(
+        self, stores, make_corpus, tmp_path, capsys
+    ):
+        corpus = make_corpus(tmp_path / "corpus")
+        code = main([
+            "corpus", "list", "--root", str(corpus.root),
+            "--store", str(tmp_path / "r.sqlite"), "--json",
+        ])
+        assert code == 0
+        assert [s.close_calls for s in stores] == [1]
+
+    def test_service_stop_closes_its_store(self, stores, tmp_path):
+        from repro.serve.service import ServeConfig, ServerThread
+
+        with ServerThread(
+            ServeConfig(port=0, store=str(tmp_path / "r.sqlite"))
+        ):
+            assert [s.close_calls for s in stores] == [0]
+        assert [s.close_calls for s in stores] == [1]

@@ -1,0 +1,50 @@
+"""`Labeling.get`: the read-only accessor validators and solvers use."""
+
+import repro.graphs.labelings as labelings_module
+from repro.graphs.labelings import Labeling, NodeLabel
+
+
+def labeled():
+    return Labeling({0: NodeLabel(parent=1, color="R"), 3: NodeLabel()})
+
+
+class TestGet:
+    def test_hit_returns_the_stored_object(self):
+        labeling = labeled()
+        stored = labeling[0]
+        assert labeling.get(0) is stored
+        assert labeling.get(3) is labeling.get(3)
+
+    def test_miss_returns_a_fresh_empty_label_without_inserting(self):
+        labeling = labeled()
+        first = labeling.get(7)
+        assert first == NodeLabel()
+        assert 7 not in labeling
+        assert len(labeling) == 2
+        first.color = "B"  # the caller owns it: no later read sees this
+        second = labeling.get(7)
+        assert second is not first
+        assert second == NodeLabel()
+        assert 7 not in labeling
+
+    def test_hit_builds_no_label(self, monkeypatch):
+        built = []
+
+        class Counting(NodeLabel):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        labeling = labeled()
+        monkeypatch.setattr(labelings_module, "NodeLabel", Counting)
+        for _ in range(3):
+            labeling.get(0)
+        assert built == []
+        assert isinstance(labeling.get(9), Counting)
+        assert built == [1]
+
+    def test_getitem_still_inserts_on_miss(self):
+        labeling = labeled()
+        label = labeling[7]
+        assert 7 in labeling
+        assert labeling.get(7) is label
