@@ -61,7 +61,7 @@ class HybridDistanceSolver(ProbeAlgorithm):
 
 
 def gather_level_one_component(
-    view: ProbeView, start: int, cap: int, max_nodes: int
+    view: ProbeView, start: int, max_nodes: int
 ) -> Optional[Ball]:
     """BFS over the level-1 nodes reachable from ``start``.
 
@@ -95,12 +95,32 @@ def gather_level_one_component(
 
 
 class _HybridTHCMixin:
-    """Level-1 handling and exemption predicate for Hybrid solvers.
+    """Entry point, level-1 handling and exemption predicate for Hybrid
+    solvers.
 
-    Mixed into the hierarchical solver classes: level-1 components are
-    BalancedTree instances, solved by bounded gather; the level-2
-    exemption predicate is "RC answered a (β, p) pair" (Definition 6.1).
+    Mixed into the hierarchical solver classes, ahead of them in the MRO:
+    levels are explicit input labels, level-1 components are BalancedTree
+    instances, solved by bounded gather, and the level-2 exemption
+    predicate is "RC answered a (β, p) pair" (Definition 6.1).
     """
+
+    def run(self, view: ProbeView):
+        lvl = view.start_info.label.level
+        if lvl is None or lvl > self.k:
+            return EXEMPT
+        self._memo = {}
+        topo = ProbeTopology(view)
+        return self._solve(view, topo, view.start, lvl)
+
+    def fallback(self, view: ProbeView):
+        lvl = view.start_info.label.level
+        return DECLINE if lvl == 1 else EXEMPT
+
+    def __getstate__(self):
+        # The level-1 outputs belong to one oracle in this process.
+        state = self.__dict__.copy()
+        state.pop("_level_one", None)
+        return state
 
     def component_budget(self, view: ProbeView) -> int:
         """Max level-1 component size we solve rather than decline."""
@@ -108,13 +128,40 @@ class _HybridTHCMixin:
         return max(32, math.ceil(8 * n ** (1.0 / self.k)))
 
     def _solve_level_one(self, view, topo, v):
+        # The gather always runs: its queries are this node's volume.
         ball = gather_level_one_component(
-            view, v, self.k, self.component_budget(view)
+            view, v, self.component_budget(view)
         )
         if ball is None:
             return DECLINE
-        local = ball_to_instance(ball, view.n)
-        return balanced_reference(local)[v]
+        return self._component_outputs(view, ball)[v]
+
+    def _component_outputs(self, view: ProbeView, ball: Ball):
+        """The balanced reference over a gathered component, solved once
+        per node set and oracle (DESIGN.md §9.3).
+
+        The node set fixes the ball: every gathered node is expanded and
+        records each port to a level-1 neighbour, so whichever member
+        the BFS began at, one set means the same infos and edges.  The
+        key is the set, not a member: a start reached through
+        ``_rc_value`` need not be level 1, and its set (itself plus its
+        level-1 neighbours' components) differs from theirs.  The
+        reference answers independently of insertion order and reads no
+        random bits, so every run and trial on the oracle may share it.
+        The memo holds the oracle itself, so no later oracle matches it.
+        """
+        scope = view.scope
+        level_one = getattr(self, "_level_one", None)
+        if level_one is None or level_one[0] is not scope:
+            level_one = self._level_one = (scope, {})
+        solved = level_one[1]
+        key = frozenset(ball.info)
+        outputs = solved.get(key)
+        if outputs is None:
+            outputs = solved[key] = balanced_reference(
+                ball_to_instance(ball, view.n)
+            )
+        return outputs
 
     def _rc_supports_exemption(self, rc_value, lvl: int) -> bool:
         if lvl == 2:
@@ -133,21 +180,6 @@ class HybridRecursiveSolver(_HybridTHCMixin, RecursiveHTHC):
         super().__init__(k)
         self.name = f"hybrid-thc({k})/recursive"
 
-    def run(self, view: ProbeView):
-        # Hybrid levels are explicit input labels.
-        lvl = view.start_info.label.level
-        if lvl is None:
-            return EXEMPT
-        if lvl > self.k:
-            return EXEMPT
-        self._memo = {}
-        topo = ProbeTopology(view)
-        return self._solve(view, topo, view.start, lvl)
-
-    def fallback(self, view: ProbeView):
-        lvl = view.start_info.label.level
-        return DECLINE if lvl == 1 else EXEMPT
-
 
 @register_algorithm(
     "hybrid-thc(2)/waypoint",
@@ -163,18 +195,6 @@ class HybridWaypointSolver(_HybridTHCMixin, WaypointHTHC):
     def __init__(self, k: int, factor: float = 1.0, c: float = 3.0) -> None:
         super().__init__(k, factor=factor, c=c)
         self.name = f"hybrid-thc({k})/waypoint"
-
-    def run(self, view: ProbeView):
-        lvl = view.start_info.label.level
-        if lvl is None or lvl > self.k:
-            return EXEMPT
-        self._memo = {}
-        topo = ProbeTopology(view)
-        return self._solve(view, topo, view.start, lvl)
-
-    def fallback(self, view: ProbeView):
-        lvl = view.start_info.label.level
-        return DECLINE if lvl == 1 else EXEMPT
 
 
 @register_algorithm(

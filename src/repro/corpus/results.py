@@ -32,6 +32,7 @@ import os
 import sqlite3
 import subprocess
 import threading
+import time
 import weakref
 from contextlib import contextmanager
 from datetime import datetime, timezone
@@ -40,6 +41,8 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Union
 
 SCHEMA_VERSION = 1
+# How long a call waits for another connection's lock before failing.
+_BUSY_TIMEOUT_S = 30.0
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS store_meta (
@@ -187,6 +190,29 @@ if hasattr(os, "register_at_fork"):
     )
 
 
+def _switch_to_wal(conn: sqlite3.Connection) -> None:
+    """``PRAGMA journal_mode=WAL``, retried while the file is locked.
+
+    While another connection holds a lock on a file that is still in
+    rollback-journal mode (a second process creating the same fresh
+    store, say), sqlite answers this switch with SQLITE_BUSY at once,
+    without calling the busy handler, so the connection's own timeout
+    never applies to it.
+    """
+    deadline = time.monotonic() + _BUSY_TIMEOUT_S
+    pause = 0.001
+    while True:
+        try:
+            conn.execute("PRAGMA journal_mode=WAL")
+            return
+        except sqlite3.OperationalError as exc:
+            locked = "database is locked" in str(exc)
+            if not locked or time.monotonic() >= deadline:
+                raise
+        time.sleep(pause)
+        pause = min(2 * pause, 0.05)
+
+
 class ResultStore:
     """Append-only campaign results in one sqlite file.
 
@@ -214,11 +240,12 @@ class ResultStore:
     def _open(self) -> sqlite3.Connection:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         conn = sqlite3.connect(
-            str(self.path), timeout=30.0, check_same_thread=False
+            str(self.path), timeout=_BUSY_TIMEOUT_S, check_same_thread=False
         )
         try:
-            conn.execute("PRAGMA journal_mode=WAL")
-            conn.execute("PRAGMA busy_timeout=30000")
+            _switch_to_wal(conn)
+            busy_ms = int(_BUSY_TIMEOUT_S * 1000)
+            conn.execute(f"PRAGMA busy_timeout={busy_ms}")
         except sqlite3.DatabaseError as exc:
             conn.close()
             raise ResultStoreError(

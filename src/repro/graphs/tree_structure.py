@@ -14,8 +14,9 @@ This module implements the structural machinery of the paper:
 Everything is written against the tiny :class:`Topology` protocol so the
 *same* predicate code is reused in two very different settings:
 
-1. instance-level analysis (validity checkers, generators, tests), via
-   :class:`InstanceTopology`, where lookups are free; and
+1. instance-level analysis (validity checkers, reference solvers,
+   generators, tests), via :class:`InstanceTopology`, where lookups are
+   free; and
 2. probe algorithms, via ``repro.model.views.ProbeTopology``, where every
    resolution of a port issues a chargeable ``query`` (Section 2.2).
 
@@ -23,12 +24,20 @@ This matters because the paper repeatedly observes (e.g. Observation 5.3)
 that these predicates are computable from O(1)- or O(k)-radius views; using
 one implementation guarantees our algorithms check exactly what the
 checkers check.
+
+An :class:`InstanceTopology` memoizes per topology object: it reads each
+node's label and port row once, and :func:`is_internal` classifies each
+node once, so a validator or reference solve that asks about a node many
+times pays once.  ``ProbeTopology`` does not, because each of its
+resolutions is a charged query that must go through the view; and
+``repro.lcl.verifier.LocalityGuard`` checks every read against its ball,
+so the predicates recompute through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Protocol, Set
+from typing import Dict, List, Optional, Protocol, Set, Tuple
 
 from repro.graphs.labelings import Instance, NodeLabel
 
@@ -51,23 +60,49 @@ class Topology(Protocol):
 
 
 class InstanceTopology:
-    """Instance-backed :class:`Topology` with free lookups."""
+    """Instance-backed :class:`Topology` with free lookups.
+
+    Memoized per topology object: each node's label and port row are read
+    from the instance on first use, and :func:`is_internal` keeps each
+    node's answer in :attr:`internal_memo`.  The topology therefore
+    assumes its instance does not change while it is in use; build a new
+    one after editing the instance.
+    """
+
+    __slots__ = ("_instance", "_labels", "_rows", "internal_memo")
 
     def __init__(self, instance: Instance) -> None:
         self._instance = instance
+        self._labels: Dict[int, NodeLabel] = {}
+        self._rows: Dict[int, Tuple[Optional[int], ...]] = {}
+        #: ``is_internal`` per node, filled in as :func:`is_internal` asks.
+        self.internal_memo: Dict[int, bool] = {}
 
     def label(self, node_id: int) -> NodeLabel:
-        return self._instance.label(node_id)
+        label = self._labels.get(node_id)
+        if label is None:
+            label = self._labels[node_id] = self._instance.label(node_id)
+        return label
 
     def node_at(self, node_id: int, port: Optional[int]) -> Optional[int]:
         if port is None:
             return None
+        row = self._rows.get(node_id)
+        if row is None:
+            row = self._rows[node_id] = self._row(node_id)
+        if 1 <= port <= len(row):
+            return row[port - 1]
+        return None
+
+    def _row(self, node_id: int) -> Tuple[Optional[int], ...]:
+        """Every port's endpoint (None if dangling); empty if no such node."""
         graph = self._instance.graph
         if not graph.has_node(node_id):
-            return None
-        if port < 1 or port > graph.num_ports(node_id):
-            return None
-        return graph.neighbor_at(node_id, port)
+            return ()
+        return tuple(
+            graph.neighbor_at(node_id, port)
+            for port in range(1, graph.num_ports(node_id) + 1)
+        )
 
 
 # ----------------------------------------------------------------------
@@ -92,8 +127,20 @@ def is_internal(t: Topology, v: int) -> bool:
     """Definition 3.3: ``v`` is internal.
 
     Requires reciprocated left/right children, distinct child ports, and a
-    parent port distinct from both child ports.
+    parent port distinct from both child ports.  A topology that carries
+    an ``internal_memo`` dict (:class:`InstanceTopology`) answers each
+    node from it after the first ask; any other topology recomputes.
     """
+    memo = getattr(t, "internal_memo", None)
+    if memo is None:
+        return _is_internal(t, v)
+    internal = memo.get(v)
+    if internal is None:
+        internal = memo[v] = _is_internal(t, v)
+    return internal
+
+
+def _is_internal(t: Topology, v: int) -> bool:
     lab = t.label(v)
     if lab.left_child is None or lab.right_child is None:
         return False
@@ -132,9 +179,16 @@ def classify(t: Topology, v: int) -> str:
     return INCONSISTENT
 
 
-def classify_all(instance: Instance) -> Dict[int, str]:
-    """Classification of every node of a concrete instance."""
-    t = InstanceTopology(instance)
+def classify_all(
+    instance: Instance, t: Optional[Topology] = None
+) -> Dict[int, str]:
+    """Classification of every node of a concrete instance.
+
+    ``t`` is the topology to read it through (a fresh
+    :class:`InstanceTopology` by default).
+    """
+    if t is None:
+        t = InstanceTopology(instance)
     return {v: classify(t, v) for v in instance.graph.nodes()}
 
 
@@ -165,10 +219,15 @@ class GTStructure:
         return 1 if self.parent.get(v) is not None else 0
 
 
-def derive_gt(instance: Instance) -> GTStructure:
-    """Compute ``G_T`` (Observation 3.7) for a concrete instance."""
-    t = InstanceTopology(instance)
-    status = classify_all(instance)
+def derive_gt(instance: Instance, t: Optional[Topology] = None) -> GTStructure:
+    """Compute ``G_T`` (Observation 3.7) for a concrete instance.
+
+    ``t`` is the topology to read it through (a fresh
+    :class:`InstanceTopology` by default).
+    """
+    if t is None:
+        t = InstanceTopology(instance)
+    status = classify_all(instance, t)
     children: Dict[int, List[int]] = {v: [] for v in instance.graph.nodes()}
     parent: Dict[int, Optional[int]] = {v: None for v in instance.graph.nodes()}
     for v, s in status.items():

@@ -162,6 +162,17 @@ class ProbeView:
         """The number of nodes, provided as input to every algorithm."""
         return self._oracle.n
 
+    @property
+    def scope(self) -> GraphOracle:
+        """The oracle this execution explores, as an identity only.
+
+        Executions with the same scope (compared with ``is``) explore the
+        same instance, so an algorithm may share work between them that
+        depends only on what each gathered.  Reading the instance through
+        it instead of :meth:`query` would bypass the model's accounting.
+        """
+        return self._oracle
+
     def query(self, node_id: int, port: int) -> Optional[NodeInfo]:
         """Issue ``query(node_id, port)``; returns the endpoint's info.
 

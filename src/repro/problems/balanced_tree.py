@@ -226,9 +226,16 @@ class BalancedTree(LCLProblem):
         return violations
 
 
-def compatibility_map(instance: Instance) -> Dict[int, Optional[bool]]:
-    """Per-node compatibility (None for inconsistent nodes)."""
-    t = InstanceTopology(instance)
+def compatibility_map(
+    instance: Instance, t: Optional[Topology] = None
+) -> Dict[int, Optional[bool]]:
+    """Per-node compatibility (None for inconsistent nodes).
+
+    ``t`` is the topology to read it through (a fresh
+    :class:`InstanceTopology` by default).
+    """
+    if t is None:
+        t = InstanceTopology(instance)
     result: Dict[int, Optional[bool]] = {}
     for v in instance.graph.nodes():
         result[v] = is_compatible(t, v) if is_consistent(t, v) else None
@@ -250,7 +257,7 @@ def reference_solution(instance: Instance) -> Dict[int, object]:
     whichever node it entered first.
     """
     t = InstanceTopology(instance)
-    compat = compatibility_map(instance)
+    compat = compatibility_map(instance, t)
     tainted = {v for v, c in compat.items() if c is False}
     stack = list(tainted)
     while stack:

@@ -169,6 +169,34 @@ class TestStoreFile:
         with pytest.raises(ResultStoreError, match="schema version"):
             ResultStore(path)
 
+    def test_fresh_store_opens_while_another_connection_writes(
+        self, tmp_path
+    ):
+        """A writer's lock on a fresh file delays the open; it is no error.
+
+        While another connection holds a RESERVED lock on a file still in
+        rollback-journal mode, sqlite answers the switch to WAL with
+        SQLITE_BUSY at once, without calling the busy handler.
+        """
+        path = tmp_path / "r.sqlite"
+        writer = sqlite3.connect(
+            str(path), isolation_level=None, check_same_thread=False
+        )
+        writer.execute("BEGIN IMMEDIATE")
+        release = threading.Timer(0.5, writer.rollback)
+        release.start()
+        try:
+            store = ResultStore(path)
+        finally:
+            release.join()
+            writer.close()
+        store.record_trials("run", [trial_record(0)])
+        assert store.trial_records("run")[0]["trial"] == 0
+        with sqlite3.connect(str(path)) as check:
+            mode = check.execute("PRAGMA journal_mode").fetchone()
+        check.close()
+        assert mode == ("wal",)
+
     def test_store_from_env(self, tmp_path, monkeypatch):
         monkeypatch.delenv("REPRO_RESULT_STORE", raising=False)
         assert store_from_env() is None
