@@ -7,12 +7,12 @@ numbers are not expected to match the paper (there are none to match —
 the results are asymptotic); the *shape* is the reproduction target.
 
 The sweeps themselves are declarative :class:`repro.exec.sweep.SweepSpec`
-objects executed by the sweep orchestrator.  Two environment knobs:
+objects executed by the sweep orchestrator, without a result store:
+benches always re-measure.  Two environment knobs:
 
 * ``REPRO_BENCH_BACKEND`` — execution backend for every sweep
   (``serial`` default; ``process`` / ``process:N`` / ``batch``);
-* ``REPRO_SWEEP_CACHE`` — directory for on-disk sweep result caching
-  (off when unset, so benches always re-measure by default).
+* ``REPRO_BENCH_PROGRESS`` — print one line per measured grid point.
 """
 
 from __future__ import annotations
@@ -26,13 +26,11 @@ from repro.exec.sweep import (
     InstanceFamily,
     SweepResult,
     SweepSpec,
-    cache_from_env,
     run_sweeps,
 )
 from repro.suites import DIST_CANDIDATES, VOL_CANDIDATES
 
 BACKEND = get_backend(os.environ.get("REPRO_BENCH_BACKEND"))
-CACHE = cache_from_env()
 VERBOSE = bool(os.environ.get("REPRO_BENCH_PROGRESS"))
 
 
@@ -46,7 +44,7 @@ def banner(title: str) -> None:
 def report_sweeps(specs: Sequence[SweepSpec]) -> List[SweepResult]:
     """Run a batch of sweeps on the configured backend and print rows."""
     progress = print if VERBOSE else None
-    results = run_sweeps(specs, BACKEND, cache=CACHE, progress=progress)
+    results = run_sweeps(specs, BACKEND, progress=progress)
     for result in results:
         print(result.format_row())
     return results
@@ -62,7 +60,6 @@ def run_suite(name: str) -> List[SweepResult]:
     return suites.run_suite(
         name,
         backend=BACKEND,
-        cache=CACHE,
         progress=print if VERBOSE else None,
     )
 
@@ -74,7 +71,6 @@ def once(benchmark, fn):
 
 __all__ = [
     "BACKEND",
-    "CACHE",
     "DIST_CANDIDATES",
     "VOL_CANDIDATES",
     "InstanceFamily",

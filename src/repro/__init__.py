@@ -28,7 +28,6 @@ from repro.faults import (
     ChaosReport,
     FaultLog,
     FaultPlan,
-    Journal,
     RetryPolicy,
     run_chaos,
 )
@@ -40,7 +39,6 @@ from repro.montecarlo import (
 )
 from repro.exec.sweep import (
     InstanceFamily,
-    SweepCache,
     SweepResult,
     SweepSpec,
     run_sweep,
@@ -109,7 +107,6 @@ __all__ = [
     "InstanceSource",
     "InstanceSpec",
     "InteractiveOracle",
-    "Journal",
     "Labeling",
     "LeafColoring",
     "MonteCarloResult",
@@ -126,7 +123,6 @@ __all__ = [
     "SerialBackend",
     "Transcript",
     "SolveReport",
-    "SweepCache",
     "SweepResult",
     "SweepSpec",
     "TrialOutcome",

@@ -409,7 +409,6 @@ def _sweep_results_payload(results) -> List[Dict[str, object]]:
             "costs": result.costs,
             "fit": fitted.best,
             "multiplier": fitted.multiplier,
-            "from_cache": result.from_cache,
             "from_store": result.from_store,
         })
     return payload
@@ -420,24 +419,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     from repro.corpus import ResultStore, ResultStoreError
     from repro.exec.backends import get_backend
-    from repro.exec.sweep import cache_from_env, run_sweeps
-    from repro.faults.journal import JournalError
+    from repro.exec.sweep import run_sweeps
     from repro.suites import run_suite
 
     load_components()
-    cache = cache_from_env()
     progress = print if args.progress else None
     printer = None if args.json else print
     if args.seed is not None and not (args.family and args.algorithm):
         return _fail(
             "--seed only applies to ad-hoc --family/--algorithm sweeps; "
             "named suites and spec-file entries pin their own seeds"
-        )
-    if args.journal and args.suites:
-        return _fail(
-            "--journal applies to --spec-file and ad-hoc "
-            "--family/--algorithm sweeps (named suites manage their own "
-            "execution); point it at one of those"
         )
     results = []
     # One ExitStack owns the backend across every early-exit error path
@@ -462,7 +453,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                     results.extend(run_suite(
                         name,
                         backend=backend,
-                        cache=cache,
                         progress=progress,
                         printer=printer,
                         store=store,
@@ -476,8 +466,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                     )
                 specs = [_spec_from_dict(e) for e in entries]
                 results = run_sweeps(
-                    specs, backend, cache=cache, progress=progress,
-                    journal=args.journal, store=store,
+                    specs, backend, progress=progress, store=store
                 )
                 if printer is not None:
                     for result in results:
@@ -492,8 +481,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                     **({} if args.seed is None else {"seed": args.seed}),
                 })
                 results = run_sweeps(
-                    [spec], backend, cache=cache, progress=progress,
-                    journal=args.journal, store=store,
+                    [spec], backend, progress=progress, store=store
                 )
                 if printer is not None:
                     for result in results:
@@ -504,8 +492,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                     "--family with --algorithm (see `repro list` for names)"
                 )
         except (
-            RegistryError, ValueError, OSError, JournalError,
-            ResultStoreError,
+            RegistryError, ValueError, OSError, ResultStoreError,
         ) as exc:
             return _fail(str(exc))
     if args.json:
@@ -600,16 +587,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--seed", type=int, default=None)
     p_sweep.add_argument("--backend")
     p_sweep.add_argument(
-        "--journal", metavar="PATH", default=None,
-        help="crash-safe JSONL journal: completed grid points are "
-        "appended durably and restored (not re-measured) when the same "
-        "sweep batch resumes after an interruption",
-    )
-    p_sweep.add_argument(
         "--store", metavar="PATH", default=None,
-        help="sqlite result store: every executed point is appended, "
-        "and points already recorded for the same spec hash are served "
-        "from it instead of re-executing",
+        help="sqlite result store: every executed point is committed as "
+        "it completes, and points already recorded for the same spec "
+        "hash are served from it instead of re-executing (an "
+        "interrupted sweep resumes where it died)",
     )
     p_sweep.add_argument("--progress", action="store_true")
     p_sweep.add_argument("--json", action="store_true")

@@ -51,7 +51,7 @@ def cmd_mc(args: argparse.Namespace) -> int:
 
     load_components()
     # One ExitStack owns the backend for the whole handler: every early
-    # _fail return below (bad family/param, journal errors, ...) still
+    # _fail return below (bad family/param, store errors, ...) still
     # releases pool resources promptly (a leaked ProcessPoolExecutor
     # races interpreter teardown and spews atexit tracebacks).
     with ExitStack() as stack:
@@ -86,7 +86,6 @@ def cmd_mc(args: argparse.Namespace) -> int:
             print(line, file=sys.stderr)
 
         from repro.corpus import ResultStore, ResultStoreError
-        from repro.faults.journal import JournalError
 
         try:
             store = ResultStore(args.store) if args.store else None
@@ -99,11 +98,10 @@ def cmd_mc(args: argparse.Namespace) -> int:
                 policy,
                 base_seed=base_seed,
                 backend=backend,
-                journal=args.journal,
                 store=store,
                 progress=progress if args.progress else None,
             )
-        except (JournalError, ResultStoreError) as exc:
+        except ResultStoreError as exc:
             return _fail(str(exc))
     low, high = result.interval()
     payload = {
@@ -215,16 +213,10 @@ def add_mc_arguments(sub) -> None:
         help="exit 1 if the estimated rate falls below this",
     )
     p_mc.add_argument(
-        "--journal", metavar="PATH", default=None,
-        help="crash-safe JSONL journal: completed trials are appended "
-        "durably and replayed (not re-run) when the same spec resumes "
-        "after an interruption",
-    )
-    p_mc.add_argument(
         "--store", metavar="PATH", default=None,
-        help="sqlite result store: trial batches are appended under the "
-        "run's spec hash and replayed (not re-run) on the next "
-        "identical invocation",
+        help="sqlite result store: each trial batch is committed under "
+        "the run's spec hash as it completes and replayed (not re-run) "
+        "on the next identical invocation, also after an interruption",
     )
     p_mc.add_argument("--progress", action="store_true")
     p_mc.add_argument("--json", action="store_true")

@@ -12,7 +12,8 @@ Two persistence layers with one provenance discipline:
   Monte-Carlo trial batch ever run, accumulated in sqlite and keyed by
   the same spec hashes the live engines use, so ``run_sweeps(...,
   store=...)`` / ``run_trials(..., store=...)`` serve re-runs from the
-  store instead of re-executing (DESIGN.md §12).
+  store instead of re-executing and resume interrupted runs
+  (DESIGN.md §12).
 """
 
 from repro.corpus.format import (
@@ -24,11 +25,7 @@ from repro.corpus.format import (
     instance_to_payload,
     payload_to_instance,
 )
-from repro.corpus.results import (
-    ResultStore,
-    ResultStoreError,
-    store_from_env,
-)
+from repro.corpus.results import ResultStore, ResultStoreError
 from repro.corpus.store import CorpusEntry, CorpusError, InstanceCorpus
 
 __all__ = [
@@ -44,5 +41,4 @@ __all__ = [
     "entry_key",
     "instance_to_payload",
     "payload_to_instance",
-    "store_from_env",
 ]

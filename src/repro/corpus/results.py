@@ -6,8 +6,12 @@ engines key their work:
 
 * sweep rows by the :meth:`~repro.exec.sweep.SweepSpec.cache_key` spec
   hash and the grid-point index;
-* trial rows by the :func:`~repro.montecarlo.engine.trial_journal_key`
+* trial rows by the :func:`~repro.montecarlo.engine.trial_run_key`
   run hash and the trial index.
+
+It is the one place sweep points and trial outcomes persist: a re-run
+against the same store serves what is stored and executes the rest, so
+a run killed mid-way resumes from its last committed point or batch.
 
 Both engines' units of work are pure functions of their spec (DESIGN.md
 §9/§11), so re-running a spec produces rows identical to the stored
@@ -38,7 +42,9 @@ from contextlib import contextmanager
 from datetime import datetime, timezone
 from functools import lru_cache
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, List, Optional, Sequence, Union
+
+from repro.exec.backends import TrialOutcome
 
 SCHEMA_VERSION = 1
 # How long a call waits for another connection's lock before failing.
@@ -389,32 +395,26 @@ class ResultStore:
             )
 
     def record_trials(
-        self, run_key: str, records: Iterable[Dict[str, object]]
+        self, run_key: str, outcomes: Sequence[TrialOutcome]
     ) -> None:
-        """Append a batch of per-trial outcome records (idempotent).
-
-        ``records`` are the journal-format dicts the MC engine emits
-        (``kind="trial"``, trial/seed/valid/max_volume/...), so journal
-        and store stay interchangeable record-for-record.
-        """
+        """Append a batch of trial outcomes in one transaction (idempotent)."""
+        if not outcomes:
+            return
         now = _now()
         rows = [
             (
                 run_key,
-                int(r["trial"]),
-                int(r["seed"]),
-                1 if r["valid"] else 0,
-                int(r["max_volume"]),
-                int(r["max_distance"]),
-                int(r["max_queries"]),
-                int(r["random_bits"]),
+                o.trial,
+                o.seed,
+                1 if o.valid else 0,
+                o.max_volume,
+                o.max_distance,
+                o.max_queries,
+                o.random_bits,
                 now,
             )
-            for r in records
-            if r.get("kind", "trial") == "trial"
+            for o in outcomes
         ]
-        if not rows:
-            return
         with self._connect() as conn, conn:
             conn.executemany(
                 "INSERT OR IGNORE INTO trials "
@@ -424,12 +424,8 @@ class ResultStore:
                 rows,
             )
 
-    def trial_records(self, run_key: str) -> List[Dict[str, object]]:
-        """Stored outcome records for one run, in trial order.
-
-        Returned in the journal record format, so the engine replays
-        store rows and journal lines through one code path.
-        """
+    def trial_records(self, run_key: str) -> List[TrialOutcome]:
+        """Stored outcomes for one run, in trial order."""
         with self._connect() as conn:
             rows = conn.execute(
                 "SELECT trial, seed, valid, max_volume, max_distance, "
@@ -438,25 +434,8 @@ class ResultStore:
                 (run_key,),
             ).fetchall()
         return [
-            {
-                "kind": "trial",
-                "trial": int(trial),
-                "seed": int(seed),
-                "valid": bool(valid),
-                "max_volume": int(max_volume),
-                "max_distance": int(max_distance),
-                "max_queries": int(max_queries),
-                "random_bits": int(random_bits),
-            }
-            for (
-                trial,
-                seed,
-                valid,
-                max_volume,
-                max_distance,
-                max_queries,
-                random_bits,
-            ) in rows
+            TrialOutcome(trial, seed, bool(valid), *costs)
+            for trial, seed, valid, *costs in rows
         ]
 
     # ------------------------------------------------------------------
@@ -510,17 +489,8 @@ class ResultStore:
         return counts
 
 
-def store_from_env(
-    var: str = "REPRO_RESULT_STORE",
-) -> Optional[ResultStore]:
-    """A :class:`ResultStore` at ``$REPRO_RESULT_STORE``, if set."""
-    path = os.environ.get(var)
-    return ResultStore(path) if path else None
-
-
 __all__ = [
     "ResultStore",
     "ResultStoreError",
     "SCHEMA_VERSION",
-    "store_from_env",
 ]

@@ -7,12 +7,11 @@ Layout of a corpus directory::
       .lock                  # flock target serializing manifest updates
       entries/<key>.json     # one canonical-JSON entry file per key
 
-Durability and concurrency follow the :mod:`repro.faults.journal`
-discipline: every file lands via :func:`~repro.faults.journal.
-atomic_write_text` (temp file + fsync + rename), so readers and crashed
-writers never observe a torn file, and the manifest's read-modify-write
-runs under an exclusive ``flock`` so two processes adding entries
-concurrently cannot lose each other's index rows.  Entry files
+Every file lands via :func:`atomic_write_text` (temp file + fsync +
+rename), so readers and crashed writers never observe a torn file, and
+the manifest's read-modify-write runs under an exclusive ``flock`` so
+two processes adding entries concurrently cannot lose each other's
+index rows.  Entry files
 themselves need no lock: a key is a pure function of ``(family, param,
 seed, format version)`` and generation is deterministic, so two writers
 racing on one key write byte-identical files and either rename wins.
@@ -25,6 +24,7 @@ import io
 import json
 import os
 import tarfile
+import tempfile
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -39,8 +39,52 @@ from repro.corpus.format import (
     entry_payload,
     payload_to_instance,
 )
-from repro.faults.journal import atomic_write_text
 from repro.graphs.labelings import Instance
+
+
+def atomic_write_text(path: Union[str, Path], text: str) -> None:
+    """Durably replace ``path``'s contents: temp file + fsync + rename.
+
+    The new contents go to a temporary file *in the same directory*
+    (``os.replace`` is only atomic within one filesystem), which is
+    flushed and fsynced, then renamed over the target.  A crash at any
+    point leaves either the old file or the new one — never a torn or
+    interleaved mix — and a concurrent writer's replace wins or loses
+    wholesale instead of corrupting the target.  The directory entry is
+    fsynced too (best effort) so the rename itself survives power loss.
+    """
+    target = Path(path)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    handle = tempfile.NamedTemporaryFile(
+        mode="w",
+        encoding="utf-8",
+        dir=target.parent,
+        prefix=f".{target.name}.",
+        suffix=".tmp",
+        delete=False,
+    )
+    try:
+        with handle:
+            handle.write(text)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(handle.name, target)
+    except BaseException:
+        try:
+            os.unlink(handle.name)
+        except OSError:
+            pass
+        raise
+    try:  # make the rename durable, where the platform allows it
+        dir_fd = os.open(target.parent, os.O_RDONLY)
+    except OSError:  # pragma: no cover - platform-specific
+        return
+    try:
+        os.fsync(dir_fd)
+    except OSError:  # pragma: no cover - platform-specific
+        pass
+    finally:
+        os.close(dir_fd)
 
 
 class CorpusError(RuntimeError):

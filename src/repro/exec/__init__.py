@@ -26,11 +26,9 @@ from repro.exec.shm import (
 )
 from repro.exec.sweep import (
     InstanceFamily,
-    SweepCache,
     SweepPoint,
     SweepResult,
     SweepSpec,
-    cache_from_env,
     run_sweep,
     run_sweeps,
 )
@@ -44,13 +42,11 @@ __all__ = [
     "SerialBackend",
     "ShmInstanceHandle",
     "ShmPublishError",
-    "SweepCache",
     "SweepPoint",
     "SweepResult",
     "SweepSpec",
     "attach_instance",
     "attached_instance",
-    "cache_from_env",
     "get_backend",
     "publish_instance",
     "published_segments",

@@ -12,9 +12,9 @@ turns that shape into data:
   nodes, seed, budgets), or an arbitrary ``measure`` callable for
   experiments that are not a single ``run_algorithm`` call;
 * :func:`run_sweep` / :func:`run_sweeps` — execute specs on any
-  :class:`~repro.exec.backends.ExecutionBackend`, with optional on-disk
-  caching (:class:`SweepCache`, keyed by a stable spec hash) and progress
-  reporting;
+  :class:`~repro.exec.backends.ExecutionBackend`, optionally served from
+  and recorded to a :class:`~repro.corpus.results.ResultStore` (keyed by
+  a stable spec hash), with progress reporting;
 * :class:`SweepResult` — the measured points plus the fitted growth
   class, formatted with the same claimed-vs-measured row the benchmark
   tables print.
@@ -24,10 +24,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.complexity_fit import (
@@ -36,7 +34,6 @@ from repro.analysis.complexity_fit import (
     format_sweep_row,
 )
 from repro.exec.backends import ExecutionBackend, get_backend
-from repro.faults.journal import Journal, atomic_write_text
 
 
 class InstanceFamily:
@@ -230,7 +227,7 @@ def _callable_id(fn: Optional[Callable]) -> Optional[str]:
     """Fingerprint a callable by name *and* bytecode.
 
     Editing the body of a ``measure``/``nodes``/factory callable must
-    invalidate cached sweep results; a bare qualname would keep serving
+    invalidate stored sweep results; a bare qualname would keep serving
     stale numbers after a code change.  Plain ``repr`` is unusable (it
     embeds object addresses), so hash the code object's bytecode and its
     non-code constants instead.
@@ -273,14 +270,12 @@ class SweepPoint:
 class SweepResult:
     """All points of one sweep plus fit/reporting helpers.
 
-    ``from_cache`` means no point was executed this run; ``from_store``
-    additionally records that the persistent result store (rather than
-    the per-spec JSON cache) served them.
+    ``from_store`` means the result store served every point: nothing
+    was executed this run.
     """
 
     spec: SweepSpec
     points: List[SweepPoint] = field(default_factory=list)
-    from_cache: bool = False
     from_store: bool = False
 
     @property
@@ -304,87 +299,6 @@ class SweepResult:
 
     def format_row(self) -> str:
         return format_sweep_row(self.measurement(), self.fitted())
-
-
-def _sweep_payload(result: SweepResult) -> Dict[str, object]:
-    """The persistable form of a sweep result (cache file and store)."""
-    return {
-        "describe": _jsonify(result.spec.describe()),
-        "ns": result.ns,
-        "costs": result.costs,
-        "details": [p.detail for p in result.points],
-    }
-
-
-def _restore_points(
-    spec: SweepSpec, ns, costs, details
-) -> Optional[List[SweepPoint]]:
-    """Rebuild grid points from persisted arrays, or ``None`` if mangled.
-
-    A describe() match guarantees the stored points were measured over
-    exactly this parameter grid, so the grid points are restored from
-    the spec (params may not be JSON-serializable).  It also implies
-    the current payload format, so missing/short arrays can only mean a
-    mangled file: the caller re-measures rather than guessing.
-    """
-    if ns is None or costs is None or details is None:
-        return None
-    expected = len(spec.family.params)
-    if not (len(ns) == len(costs) == len(details) == expected):
-        return None
-    return [
-        SweepPoint(param=param, n=int(n), cost=float(cost), detail=detail)
-        for param, n, cost, detail in zip(
-            spec.family.params, ns, costs, details
-        )
-    ]
-
-
-class SweepCache:
-    """On-disk result cache keyed by the spec hash.
-
-    One JSON file per spec under ``root``; a cache hit skips the whole
-    sweep.  Delete the directory (or a file) to invalidate.  This is
-    the file-per-spec sibling of the persistent
-    :class:`~repro.corpus.results.ResultStore` — both persist
-    :func:`_sweep_payload` and restore via :func:`_restore_points`, so
-    their hit semantics cannot drift.
-    """
-
-    def __init__(self, root) -> None:
-        self.root = Path(root)
-
-    def load(self, spec: SweepSpec) -> Optional[SweepResult]:
-        path = self._path(spec)
-        if not path.exists():
-            return None
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
-            return None
-        if payload.get("describe") != _jsonify(spec.describe()):
-            return None  # hash collision or stale format: re-measure
-        points = _restore_points(
-            spec,
-            payload.get("ns"),
-            payload.get("costs"),
-            payload.get("details"),
-        )
-        if points is None:
-            return None
-        return SweepResult(spec=spec, points=points, from_cache=True)
-
-    def store(self, result: SweepResult) -> None:
-        # Atomic + durable (temp file, fsync, rename): a crash or a
-        # concurrent writer must never leave a torn cache file that a
-        # later run would half-trust.
-        atomic_write_text(
-            self._path(result.spec),
-            json.dumps(_sweep_payload(result), indent=1),
-        )
-
-    def _path(self, spec: SweepSpec) -> Path:
-        return self.root / f"{spec.cache_key()}.json"
 
 
 def _json_key(key) -> str:
@@ -412,7 +326,7 @@ def _jsonify(obj):
     non-string dict keys silently (``1`` -> ``"1"``, ``True`` ->
     ``"true"``); if two keys coerce to the same string, one value is
     silently dropped and the stored payload can never compare equal to
-    a freshly built one again — a permanent cache miss with no error.
+    a freshly built one again — a permanent store miss with no error.
     This normalizer applies the identical coercion but *raises* on a
     collision or an uncoercible key, and both the persist side and the
     compare side go through it, so persisted and fresh payloads agree
@@ -438,74 +352,27 @@ def _jsonify(obj):
     return json.loads(json.dumps(obj))
 
 
-def sweep_journal_key(specs: Sequence[SweepSpec]) -> str:
-    """The spec hash binding a journal to one batch of sweeps.
-
-    Hashes every spec's :meth:`~SweepSpec.cache_key` in order, so the
-    same journal file refuses a different sweep batch loudly instead of
-    silently skipping the wrong points.
-    """
-    blob = json.dumps([spec.cache_key() for spec in specs]).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
-
-
-def open_sweep_journal(path, specs: Sequence[SweepSpec]) -> Journal:
-    """Open (or resume) the journal for a batch of sweeps."""
-    meta = {
-        "sweeps": [
-            {"label": spec.label, "spec": spec.cache_key()} for spec in specs
-        ]
-    }
-    return Journal(path, sweep_journal_key(specs), meta=meta)
-
-
-def _journal_points(journal: Journal) -> Dict[Tuple[str, int], Dict]:
-    """Completed ``(spec hash, grid index) -> record`` from the journal."""
-    done: Dict[Tuple[str, int], Dict] = {}
-    for record in journal.records:
-        if record.get("kind") != "point":
-            continue
-        done.setdefault((record["spec"], int(record["index"])), record)
-    return done
-
-
 def run_sweep(
     spec: SweepSpec,
     backend=None,
-    cache: Optional[SweepCache] = None,
     progress: Optional[Callable[[str], None]] = None,
-    journal: Optional[Journal] = None,
     store=None,
 ) -> SweepResult:
-    """Execute one sweep (or serve it from the cache or result store).
+    """Execute one sweep, serving stored points from ``store``.
 
-    With ``journal`` (an open :class:`~repro.faults.journal.Journal`,
-    usually from :func:`open_sweep_journal`), each completed grid point
-    is appended durably and points already journaled are restored
-    instead of re-measured — a killed campaign continues where it died.
-    Every point is a deterministic run, so a restored point is bitwise
-    what re-measuring would produce.
-
-    ``store`` (a :class:`~repro.corpus.results.ResultStore`) is the
-    persistent sibling: every executed point appends to the store, and
-    points already stored for this spec hash are restored per point —
-    a re-run against a populated store executes nothing.  A fully
-    store-served result sets :attr:`SweepResult.from_store` (and
-    counts as a cache hit in summaries, since no measurement ran).
+    ``store`` (a :class:`~repro.corpus.results.ResultStore`) records
+    every executed point as it completes, and points already stored for
+    this spec hash are restored instead of re-measured — a killed
+    campaign continues where it died, and a re-run against a populated
+    store executes nothing (:attr:`SweepResult.from_store`).  Every
+    point is a deterministic run, so a restored point is bitwise what
+    re-measuring would produce.
     """
     backend = get_backend(backend)
-    spec_key = spec.cache_key()
-    described = _jsonify(spec.describe())
-    if cache is not None:
-        hit = cache.load(spec)
-        if hit is not None:
-            if progress is not None:
-                progress(f"[{spec.label}] loaded {len(hit.points)} cached points")
-            if store is not None:
-                _record_sweep_to_store(store, spec_key, described, hit)
-            return hit
     stored: Dict[int, Dict[str, object]] = {}
     if store is not None:
+        spec_key = spec.cache_key()
+        described = _jsonify(spec.describe())
         stored_describe = store.sweep_describe(spec_key)
         if stored_describe is not None and stored_describe != described:
             # A 16-hex hash collision (or a mangled row): neither serve
@@ -516,54 +383,35 @@ def run_sweep(
                 spec_key, spec.label, described, len(spec.family.params)
             )
             stored = store.sweep_points(spec_key)
-    done = _journal_points(journal) if journal is not None else {}
     result = SweepResult(spec=spec)
     total = len(spec.family.params)
-    served_store = 0
+    served = 0
     for index, param in enumerate(spec.family.params, start=1):
-        replayed = done.get((spec_key, index - 1))
-        if replayed is None and index - 1 in stored:
-            row = stored[index - 1]
+        row = stored.get(index - 1)
+        if row is not None:
             result.points.append(
                 SweepPoint(
                     param=param,
-                    n=int(row["n"]),
-                    cost=float(row["cost"]),
-                    elapsed=float(row["elapsed"]),
+                    n=row["n"],
+                    cost=row["cost"],
+                    elapsed=row["elapsed"],
                     detail=row["detail"],
                 )
             )
-            served_store += 1
+            served += 1
             if progress is not None:
                 progress(
                     f"[{spec.label}] {index}/{total}: stored point "
-                    f"restored (n={result.points[-1].n})"
-                )
-            continue
-        if replayed is not None:
-            point = SweepPoint(
-                param=param,
-                n=int(replayed["n"]),
-                cost=float(replayed["cost"]),
-                elapsed=float(replayed.get("elapsed", 0.0)),
-                detail=replayed.get("detail"),
-            )
-            result.points.append(point)
-            if store is not None:
-                _record_point_to_store(store, spec_key, index - 1, point)
-            if progress is not None:
-                progress(
-                    f"[{spec.label}] {index}/{total}: journaled point "
-                    f"restored (n={result.points[-1].n})"
+                    f"restored (n={row['n']})"
                 )
             continue
         instance = spec.family.instance(param)
         started = time.perf_counter()
         cost, detail = spec.measure_point_detailed(instance, param, backend)
         elapsed = time.perf_counter() - started
-        # Normalize the detail dict the way persistence will, so a
-        # fresh result and its cache/store-restored twin are identical
-        # (an int-keyed detail would otherwise come back str-keyed).
+        # Normalize the detail dict the way the store will, so a fresh
+        # result and its store-restored twin are identical (an int-keyed
+        # detail would otherwise come back str-keyed).
         detail = None if detail is None else _jsonify(detail)
         # .n, not .graph.num_nodes: implicit InstanceSpec points have no
         # graph — their size is a closed-form property of the spec.
@@ -572,23 +420,9 @@ def run_sweep(
             param=param, n=n, cost=cost, elapsed=elapsed, detail=detail
         )
         result.points.append(point)
-        if journal is not None:
-            journal.append(
-                {
-                    "kind": "point",
-                    "spec": spec_key,
-                    "index": index - 1,
-                    "param": repr(param),
-                    "n": n,
-                    "cost": cost,
-                    "elapsed": elapsed,
-                    "detail": detail,
-                }
-            )
         if store is not None:
             # Per point, not per sweep: a killed campaign keeps every
-            # completed point (same crash-safety contract as the
-            # journal, durable via sqlite instead of JSONL).
+            # completed point.
             _record_point_to_store(store, spec_key, index - 1, point)
         if progress is not None:
             progress(
@@ -596,21 +430,8 @@ def run_sweep(
                 f"{spec.metric if spec.measure is None else 'cost'}={cost:g} "
                 f"({elapsed:.2f}s)"
             )
-    if served_store == total and total > 0:
-        result.from_store = True
-        result.from_cache = True  # no measurement ran
-    if cache is not None:
-        cache.store(result)
+    result.from_store = served == total and total > 0
     return result
-
-
-def _record_sweep_to_store(store, spec_key: str, described, result) -> None:
-    """Backfill a whole (cache-served) result into the store."""
-    store.record_sweep_meta(
-        spec_key, result.spec.label, described, len(result.points)
-    )
-    for index, point in enumerate(result.points):
-        _record_point_to_store(store, spec_key, index, point)
 
 
 def _record_point_to_store(store, spec_key: str, index: int, point) -> None:
@@ -628,25 +449,15 @@ def _record_point_to_store(store, spec_key: str, index: int, point) -> None:
 def run_sweeps(
     specs: Iterable[SweepSpec],
     backend=None,
-    cache: Optional[SweepCache] = None,
     progress: Optional[Callable[[str], None]] = None,
-    journal=None,
     store=None,
 ) -> List[SweepResult]:
     """Execute a batch of sweeps on one backend, in order.
 
-    The closing progress line reports cache hits *separately* from
-    executed sweeps — a cached result costs no measurements, so counting
-    it as executed (as the summary used to) overstated the work done and
-    made "N sweeps executed" unusable as a progress signal on warm
-    caches.
-
-    ``journal`` is a path (or an open :class:`~repro.faults.journal.Journal`)
-    shared by the whole batch: completed grid points are appended
-    durably, and a re-run of the same batch restores them instead of
-    re-measuring (``repro sweep --journal``).  A journal written for a
-    different batch is refused with
-    :class:`~repro.faults.journal.JournalKeyError`.
+    The closing progress line reports store-served sweeps *separately*
+    from executed ones: a served result costs no measurements, so
+    "N sweeps executed" stays usable as a progress signal on a warm
+    store.
 
     ``store`` (a :class:`~repro.corpus.results.ResultStore`) persists
     every executed point across runs and serves stored points back;
@@ -660,42 +471,18 @@ def run_sweeps(
         backend, ExecutionBackend
     )
     backend = get_backend(backend)
-    specs = list(specs)
-    jour: Optional[Journal] = None
-    owned_journal = False
-    if journal is not None:
-        if isinstance(journal, Journal):
-            jour = journal
-        else:
-            jour = open_sweep_journal(journal, specs)
-            owned_journal = True
     try:
         results = [
-            run_sweep(
-                s, backend, cache=cache, progress=progress, journal=jour,
-                store=store,
-            )
+            run_sweep(s, backend, progress=progress, store=store)
             for s in specs
         ]
     finally:
-        if owned_journal and jour is not None:
-            jour.close()
         if owned_backend:
             backend.close()
     if progress is not None:
-        cached = sum(1 for r in results if r.from_cache)
-        line = (
-            f"sweeps: {len(results) - cached} executed, {cached} cache "
-            f"hit{'' if cached == 1 else 's'}"
+        served = sum(1 for r in results if r.from_store)
+        progress(
+            f"sweeps: {len(results) - served} executed, {served} store "
+            f"hit{'' if served == 1 else 's'}"
         )
-        if store is not None:
-            served = sum(1 for r in results if r.from_store)
-            line += f", {served} store hit{'' if served == 1 else 's'}"
-        progress(line)
     return results
-
-
-def cache_from_env(var: str = "REPRO_SWEEP_CACHE") -> Optional[SweepCache]:
-    """A :class:`SweepCache` rooted at ``$REPRO_SWEEP_CACHE``, if set."""
-    root = os.environ.get(var)
-    return SweepCache(root) if root else None

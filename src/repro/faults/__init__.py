@@ -1,4 +1,4 @@
-"""Fault-tolerant execution: supervision, retry, journals, chaos.
+"""Fault-tolerant execution: supervision, retry, chaos.
 
 Everything in this package exploits one property the rest of the repo
 already guarantees: every unit of work — a chunk of per-node executions,
@@ -13,17 +13,17 @@ problem:
 * :mod:`repro.faults.plan` — :class:`FaultPlan` / :class:`FaultInjector`,
   the seeded deterministic fault schedules the chaos harness injects
   through the backends' zero-overhead-when-off hooks;
-* :mod:`repro.faults.journal` — the crash-safe append-only
-  :class:`Journal` behind ``repro mc --journal`` / ``repro sweep
-  --journal`` resume;
 * :mod:`repro.faults.chaos` — :func:`run_chaos`, which executes a
   workload under a fault plan and verifies bitwise result equivalence
   plus shared-memory cleanliness.
 
-See DESIGN.md §11 for the fault model and the determinism argument.
+Crash-safe resume of long runs lives in the result store
+(:class:`~repro.corpus.results.ResultStore`): every sweep point and
+trial batch commits as it completes, and a re-run replays what is
+stored.  See DESIGN.md §11 for the fault model and the determinism
+argument.
 """
 
-from repro.faults.journal import Journal, JournalError, JournalKeyError
 from repro.faults.plan import (
     FAULT_KINDS,
     FaultInjector,
@@ -54,9 +54,6 @@ __all__ = [
     "FaultLog",
     "FaultPlan",
     "InjectedFault",
-    "Journal",
-    "JournalError",
-    "JournalKeyError",
     "RetryPolicy",
     "ShmAttachError",
     "run_chaos",

@@ -128,8 +128,9 @@ def is_internal(t: Topology, v: int) -> bool:
 
     Requires reciprocated left/right children, distinct child ports, and a
     parent port distinct from both child ports.  A topology that carries
-    an ``internal_memo`` dict (:class:`InstanceTopology`) answers each
-    node from it after the first ask; any other topology recomputes.
+    an ``internal_memo`` dict (:class:`InstanceTopology`,
+    :class:`~repro.model.views.ProbeTopology`) answers each node from it
+    after the first ask; any other topology recomputes.
     """
     memo = getattr(t, "internal_memo", None)
     if memo is None:

@@ -411,7 +411,7 @@ InstanceSource = Union[Instance, InstanceSpec]
 class ImplicitFamilyFactory:
     """``factory(param) -> InstanceSpec`` for one implicit family.
 
-    A module-level class (not a lambda) so sweep caching can fingerprint
+    A module-level class (not a lambda) so the sweep spec key can fingerprint
     it stably and process backends can pickle it.
     """
 

@@ -16,13 +16,10 @@ backends are drop-in and produce bitwise-identical results — see
 from __future__ import annotations
 
 import statistics
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
-from repro.graphs.frozen import FrozenPortGraph
-from repro.graphs.labelings import Instance, Labeling
-from repro.graphs.port_graph import PortGraph
+from repro.graphs.labelings import Instance
 from repro.model.implicit import (
     MATERIALIZE_LIMIT,
     InstanceSource,
@@ -32,44 +29,20 @@ from repro.model.probe import CostProfile, ProbeAlgorithm
 
 
 def _coerce_source(source) -> InstanceSource:
-    """Back-compat shim: normalize legacy instance arguments.
+    """Return ``source`` if it is an ``Instance`` or ``InstanceSpec``.
 
-    The public signatures take an :data:`~repro.model.implicit.InstanceSource`
-    (``Instance | InstanceSpec``).  Two concrete-object call styles that
-    predate the :func:`~repro.model.implicit.as_oracle` front door are
-    still accepted with a :class:`DeprecationWarning`:
-
-    * a pre-built oracle (``StaticOracle``/``CompiledOracle``) — callers
-      used to freeze-then-attach by hand; the oracle's instance is
-      unwrapped and the backend rebuilds the right oracle itself;
-    * a bare ``PortGraph``/``FrozenPortGraph`` — wrapped into an
-      unlabeled :class:`~repro.graphs.labelings.Instance`.
+    A bare graph or a pre-built oracle is refused: wrap the graph in an
+    :class:`~repro.graphs.labelings.Instance`, and pass the instance (or
+    an :class:`~repro.model.implicit.InstanceSpec`) instead of an oracle
+    so the backend builds the right oracle itself.
     """
     if isinstance(source, (Instance, InstanceSpec)):
         return source
-    if isinstance(source, (FrozenPortGraph, PortGraph)):
-        warnings.warn(
-            "passing a bare graph to the runner is deprecated; wrap it "
-            "in an Instance (or pass it through as_oracle)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return Instance(graph=source, labeling=Labeling())
-    inner = getattr(source, "instance", None)
-    if (
-        inner is not None
-        and hasattr(source, "node_info")
-        and hasattr(source, "resolve")
-    ):
-        warnings.warn(
-            "passing a pre-built oracle to the runner is deprecated; "
-            "pass the Instance (or InstanceSpec) and let the backend "
-            "build the oracle via as_oracle",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return inner
-    return source
+    raise TypeError(
+        f"expected an Instance or InstanceSpec, got "
+        f"{type(source).__name__}; wrap a bare graph in an Instance and "
+        "pass the instance, not a pre-built oracle"
+    )
 
 
 @dataclass

@@ -27,11 +27,16 @@ class ProbeTopology:
     Resolutions are memoized per (node, port) so that predicate code can be
     written naturally; re-resolving an edge re-reads cached info and issues
     no new query (volume is unaffected either way, per Definition 2.2).
+    :func:`~repro.graphs.tree_structure.is_internal` keeps each node's
+    answer in :attr:`internal_memo`; recomputing it would only re-read
+    those memoized resolutions.
     """
 
     def __init__(self, view: ProbeView) -> None:
         self._view = view
         self._resolved: Dict[tuple, Optional[int]] = {}
+        #: ``is_internal`` per node, filled in as :func:`is_internal` asks.
+        self.internal_memo: Dict[int, bool] = {}
 
     def label(self, node_id: int) -> NodeLabel:
         return self._view.info(node_id).label

@@ -20,15 +20,14 @@ fresh online statistics (all of which are deterministic, including the
 quantile sketch) and continues at the next trial index, producing a result
 bitwise identical to an uninterrupted run.
 
-``journal=`` is the crash-safe sibling of ``resume=``: completed trials
-are appended to an on-disk JSONL journal (:mod:`repro.faults.journal`)
-at every batch boundary, and re-running the exact same spec with the
-same journal path replays the intact prefix and continues without
-re-executing finished work — surviving ``kill -9`` where ``resume=``
-needs the previous in-memory result.  The journal is keyed by a hash of
-the run spec (problem, instance source, algorithm, policy, seeds,
-budgets), so resuming a different run against the same file fails loudly
-instead of mixing streams.
+``store=`` is the crash-safe sibling of ``resume=``: completed trials
+are committed to a :class:`~repro.corpus.results.ResultStore` at every
+batch boundary, and re-running the exact same spec against the same
+store replays the stored prefix and continues without re-executing
+finished work — surviving ``kill -9`` where ``resume=`` needs the
+previous in-memory result.  Stored trials are keyed by a hash of the run
+spec (problem, instance source, algorithm, policy, seeds, budgets), so a
+different run never replays another run's trials.
 
 With ``early_stop=False`` the engine executes exactly ``max_trials``
 trials — the same solve-and-check calls, seeds, and tape draws as the
@@ -43,7 +42,6 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import Callable, Dict, List, Optional, Union
 
 from repro.exec.backends import (
@@ -54,7 +52,6 @@ from repro.exec.backends import (
     TrialOutcome,
     get_backend,
 )
-from repro.faults.journal import Journal
 from repro.montecarlo.stats import METHODS, QuantileSketch, SuccessStats
 
 #: Stopping reasons recorded in results and bench artifacts.
@@ -234,7 +231,7 @@ def _should_stop(policy: TrialPolicy, result: MonteCarloResult) -> bool:
 
 
 def _source_key(instance_or_factory) -> str:
-    """A stable name for the instance source (part of the journal key)."""
+    """A stable name for the instance source (part of the run key)."""
     from repro.model.implicit import InstanceSpec
 
     if isinstance(instance_or_factory, FixedInstanceFactory):
@@ -256,7 +253,7 @@ def _source_key(instance_or_factory) -> str:
     return f"factory:{qual}"
 
 
-def trial_journal_key(
+def trial_run_key(
     problem,
     instance_or_factory,
     algorithm,
@@ -265,10 +262,10 @@ def trial_journal_key(
     max_volume: Optional[int],
     max_queries: Optional[int],
 ) -> "tuple[str, Dict[str, object]]":
-    """``(spec hash, header meta)`` binding a journal to one run spec.
+    """``(spec hash, meta)`` naming one run spec's stored trials.
 
     Everything that changes any trial's seed or verdict is in the hash;
-    the meta rides in the journal header for human inspection only.
+    the meta is stored beside the trials for human inspection only.
     """
     meta = {
         "problem": type(problem).__name__,
@@ -283,64 +280,27 @@ def trial_journal_key(
     return hashlib.sha256(blob).hexdigest()[:16], meta
 
 
-def _outcome_record(outcome: TrialOutcome) -> Dict[str, object]:
-    return {
-        "kind": "trial",
-        "trial": outcome.trial,
-        "seed": outcome.seed,
-        "valid": outcome.valid,
-        "max_volume": outcome.max_volume,
-        "max_distance": outcome.max_distance,
-        "max_queries": outcome.max_queries,
-        "random_bits": outcome.random_bits,
-    }
-
-
 def _records_prefix(
-    records: List[Dict[str, object]], policy: TrialPolicy
+    outcomes: List[TrialOutcome], policy: TrialPolicy
 ) -> List[TrialOutcome]:
-    """The intact contiguous prefix of recorded trials, batch-aligned.
+    """The contiguous prefix of stored trials, batch-aligned.
 
-    Duplicated trial indices keep their first record (a crash between
-    append and fsync can re-journal a re-executed trial; records from a
-    journal and a result store can also overlap — all copies are
-    identical anyway, every outcome being a pure function of its
-    seeds).  The prefix stops at the first gap and is then truncated to
-    a multiple of ``policy.batch_size`` so the resumed run re-evaluates
-    its stop conditions at exactly the batch boundaries the
-    uninterrupted run would have used — the dropped tail re-executes
-    bitwise-identically.
+    ``outcomes`` come in trial order, one per trial index.  The prefix
+    stops at the first gap and is then truncated to a multiple of
+    ``policy.batch_size`` so the resumed run re-evaluates its stop
+    conditions at exactly the batch boundaries the uninterrupted run
+    would have used — the dropped tail re-executes bitwise-identically.
     """
-    by_trial: Dict[int, TrialOutcome] = {}
-    for record in records:
-        if record.get("kind") != "trial":
-            continue
-        trial = int(record["trial"])
-        if trial in by_trial:
-            continue
-        by_trial[trial] = TrialOutcome(
-            trial=trial,
-            seed=int(record["seed"]),
-            valid=bool(record["valid"]),
-            max_volume=int(record["max_volume"]),
-            max_distance=int(record["max_distance"]),
-            max_queries=int(record["max_queries"]),
-            random_bits=int(record["random_bits"]),
-        )
-    prefix: List[TrialOutcome] = []
-    while len(prefix) in by_trial:
-        prefix.append(by_trial[len(prefix)])
-    if len(prefix) >= policy.max_trials:
+    prefix = 0
+    for outcome in outcomes:
+        if outcome.trial != prefix:
+            break
+        prefix += 1
+    if prefix >= policy.max_trials:
         # A completed run's final batch may be shorter than batch_size;
         # nothing is left to execute, so keep every recorded trial.
-        return prefix[: policy.max_trials]
-    keep = (len(prefix) // policy.batch_size) * policy.batch_size
-    return prefix[:keep]
-
-
-def _replay_journal(journal: Journal, policy: TrialPolicy) -> List[TrialOutcome]:
-    """The journal's intact contiguous prefix, batch-aligned."""
-    return _records_prefix(journal.records, policy)
+        return outcomes[: policy.max_trials]
+    return outcomes[: (prefix // policy.batch_size) * policy.batch_size]
 
 
 def run_trials(
@@ -354,7 +314,6 @@ def run_trials(
     max_volume: Optional[int] = None,
     max_queries: Optional[int] = None,
     resume: Optional[MonteCarloResult] = None,
-    journal: Union[Journal, str, Path, None] = None,
     store=None,
     progress: Optional[Callable[[str], None]] = None,
 ) -> MonteCarloResult:
@@ -367,26 +326,18 @@ def run_trials(
     from its next trial index — the combined run is bitwise identical to
     an uninterrupted one (see the module docstring).
 
-    ``journal`` (a path or an open :class:`~repro.faults.journal.Journal`)
-    makes the run crash-safe: completed trials are appended durably at
-    batch boundaries, the journal's intact prefix is replayed instead of
-    re-executed on the next run of the same spec, and a key mismatch
-    (different spec, same file) raises
-    :class:`~repro.faults.journal.JournalKeyError`.  Mutually exclusive
-    with ``resume`` (a journal *is* a durable resume point).
-
-    ``store`` (a :class:`~repro.corpus.results.ResultStore`) is the
-    accumulating sibling: completed batches append to the store under
-    the same run key the journal uses, stored trials replay instead of
-    re-executing, and — unlike a journal file — one store serves every
-    run spec ever recorded.  Journal and store compose (their records
-    are interchangeable); ``resume=`` is mutually exclusive with both.
+    ``store`` (a :class:`~repro.corpus.results.ResultStore`) makes the
+    run crash-safe and resumable: each completed batch commits to the
+    store under the run's :func:`trial_run_key`, and the stored prefix
+    replays instead of re-executing on the next run of the same spec.
+    One store serves every run spec ever recorded; ``resume=`` is
+    mutually exclusive with it (the store already is a durable resume
+    point).
     """
-    if resume is not None and (journal is not None or store is not None):
+    if resume is not None and store is not None:
         raise ValueError(
-            "pass either resume= (in-memory) or journal=/store= "
-            "(on-disk), not both — the journal and the store already "
-            "replay completed trials"
+            "pass either resume= (in-memory) or store= (on-disk), not "
+            "both — the store already replays completed trials"
         )
     engine = get_backend(backend)
     owned: List[ExecutionBackend] = []
@@ -396,8 +347,6 @@ def run_trials(
         # started ProcessPoolExecutor (and any published shared-memory
         # segment) leaks into interpreter teardown.
         owned.append(engine)
-    jour: Optional[Journal] = None
-    owned_journal = False
     # The try covers everything from here on: even pre-loop failures
     # (resume validation, a factory that raises) must close an owned
     # pool and its shared-memory segments, not just loop exceptions.
@@ -430,9 +379,8 @@ def run_trials(
             result.elapsed = resume.elapsed
         else:
             result = MonteCarloResult(policy=policy, base_seed=base_seed)
-        run_key: Optional[str] = None
-        if journal is not None or store is not None:
-            run_key, run_meta = trial_journal_key(
+        if store is not None:
+            run_key, run_meta = trial_run_key(
                 problem,
                 instance_or_factory,
                 algorithm,
@@ -441,36 +389,15 @@ def run_trials(
                 max_volume,
                 max_queries,
             )
-        if journal is not None:
-            if isinstance(journal, Journal):
-                jour = journal
-            else:
-                jour = Journal(journal, run_key, meta=run_meta)
-                owned_journal = True
-        if jour is not None or store is not None:
-            # Journal lines and store rows use one record format and
-            # describe the same deterministic trial stream, so the
-            # replayed prefix merges both sources (first copy wins;
-            # all copies are identical).
-            records: List[Dict[str, object]] = []
-            if jour is not None:
-                records.extend(jour.records)
-            if store is not None:
-                store.record_trial_run(run_key, run_meta)
-                records.extend(store.trial_records(run_key))
-            replayed = _records_prefix(records, policy)
+            store.record_trial_run(run_key, run_meta)
+            replayed = _records_prefix(store.trial_records(run_key), policy)
             for outcome in replayed:
                 result.record(outcome)
             if replayed and progress is not None:
-                sources = []
-                if jour is not None:
-                    sources.append(f"journal {jour.path}")
-                if store is not None:
-                    sources.append(f"store {store.path}")
                 progress(
                     f"  replayed {len(replayed)} completed "
                     f"trial{'s' if len(replayed) != 1 else ''} from "
-                    f"{' + '.join(sources)}"
+                    f"store {store.path}"
                 )
         started = time.perf_counter()
         backend_log = getattr(engine, "fault_log", None)
@@ -495,17 +422,10 @@ def run_trials(
             )
             for outcome in outcomes:
                 result.record(outcome)
-            if jour is not None or store is not None:
-                batch_records = [
-                    _outcome_record(outcome) for outcome in outcomes
-                ]
-                if jour is not None:
-                    # One durable append (single fsync) per completed
-                    # batch: a crash can lose at most the batch in
-                    # flight.
-                    jour.append_many(batch_records)
-                if store is not None:
-                    store.record_trials(run_key, batch_records)
+            if store is not None:
+                # One committed transaction per completed batch: a crash
+                # can lose at most the batch in flight.
+                store.record_trials(run_key, outcomes)
             if progress is not None:
                 low, high = result.interval()
                 progress(
@@ -522,8 +442,6 @@ def run_trials(
     finally:
         for held in owned:
             held.close()
-        if owned_journal and jour is not None:
-            jour.close()
     result.elapsed += time.perf_counter() - started
     return result
 
@@ -555,5 +473,5 @@ __all__ = [
     "TrialPolicy",
     "estimate_success_probability",
     "run_trials",
-    "trial_journal_key",
+    "trial_run_key",
 ]

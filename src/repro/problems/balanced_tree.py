@@ -242,7 +242,9 @@ def compatibility_map(
     return result
 
 
-def reference_solution(instance: Instance) -> Dict[int, object]:
+def reference_solution(
+    instance: Instance, t: Optional[Topology] = None
+) -> Dict[int, object]:
     """A canonical valid output computed with global information.
 
     Implements Lemma 4.7's characterization: incompatible ⇒ (U, ⊥); a node
@@ -255,8 +257,12 @@ def reference_solution(instance: Instance) -> Dict[int, object]:
     answer whatever order the instance's nodes were inserted in — also on
     a cyclic G_T, where a memoized downward search would cut the cycle at
     whichever node it entered first.
+
+    ``t`` is the topology to read the instance through (a fresh
+    :class:`InstanceTopology` by default).
     """
-    t = InstanceTopology(instance)
+    if t is None:
+        t = InstanceTopology(instance)
     compat = compatibility_map(instance, t)
     tainted = {v for v, c in compat.items() if c is False}
     stack = list(tainted)

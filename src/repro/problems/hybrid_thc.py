@@ -198,7 +198,7 @@ def reference_solution(instance: Instance, k: int) -> Dict[int, object]:
     because each level-1 root outputs a (β, p) pair.
     """
     topo = InstanceTopology(instance)
-    balanced = balanced_reference(instance)
+    balanced = balanced_reference(instance, topo)
     outputs: Dict[int, object] = {}
     for node in instance.graph.nodes():
         lvl = level_of(topo, node, cap=k)

@@ -16,7 +16,6 @@ from typing import Callable, Dict, List, Optional
 
 from repro.exec.sweep import (
     InstanceFamily,
-    SweepCache,
     SweepResult,
     SweepSpec,
     run_sweeps,
@@ -91,7 +90,6 @@ def get_suite(name: str) -> SuiteDef:
 def run_suite(
     name: str,
     backend=None,
-    cache: Optional[SweepCache] = None,
     progress: Optional[Callable[[str], None]] = None,
     printer: Optional[Callable[[str], None]] = print,
     store=None,
@@ -109,8 +107,7 @@ def run_suite(
         printer(definition.title)
         printer("=" * 78)
     results = run_sweeps(
-        definition.build(), backend, cache=cache, progress=progress,
-        store=store,
+        definition.build(), backend, progress=progress, store=store
     )
     if printer is not None:
         for result in results:
@@ -121,7 +118,7 @@ def run_suite(
 
 
 # ----------------------------------------------------------------------
-# shared start-node selectors (module-level so sweep caching can
+# shared start-node selectors (module-level so the store's spec hash can
 # fingerprint them stably)
 # ----------------------------------------------------------------------
 def root_only(instance, param):

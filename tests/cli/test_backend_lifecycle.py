@@ -15,7 +15,7 @@ import pytest
 import repro.corpus as corpus_module
 import repro.exec.backends as backends_module
 from repro.cli import main
-from repro.corpus import ResultStore
+from repro.corpus import ResultStore, ResultStoreError
 from repro.exec.backends import SerialBackend
 
 
@@ -204,16 +204,20 @@ class TestStoreLifecycle:
         assert code == 0
         assert [s.close_calls for s in stores] == [1]
 
-    def test_mc_journal_error_closes(self, stores, tmp_path, capsys):
-        journal = tmp_path / "j.jsonl"
-        journal.write_text('{"journal": "something else"}\n')
+    def test_mc_store_error_closes(
+        self, stores, tmp_path, capsys, monkeypatch
+    ):
+        # An error raised inside run_trials, after the store opened.
+        def unreadable(self, run_key):
+            raise ResultStoreError("stored trials are unreadable")
+
+        monkeypatch.setattr(ResultStore, "trial_records", unreadable)
         code = main([
             "mc", "cycle/2-coloring", "--param", "8", "--quick",
-            "--journal", str(journal),
             "--store", str(tmp_path / "r.sqlite"),
         ])
         assert code == 2
-        assert "not a" in capsys.readouterr().err
+        assert "unreadable" in capsys.readouterr().err
         assert [s.close_calls for s in stores] == [1]
 
     def test_corpus_list_store_closes(

@@ -96,7 +96,7 @@ class TestSweepStoreFlag:
         code, out = run_cli(capsys, *argv)
         assert code == 0
         second = json.loads(out)[0]
-        assert second["from_store"] and second["from_cache"]
+        assert second["from_store"]
         assert second["costs"] == first["costs"]
         assert second["ns"] == first["ns"]
 

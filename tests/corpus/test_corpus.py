@@ -13,6 +13,7 @@ from repro.corpus import (
     content_hash,
     entry_key,
 )
+from repro.corpus.store import atomic_write_text
 from repro.graphs.generators import cycle_instance
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
@@ -219,6 +220,44 @@ for n in range(start, start + 20):
 
 
 @pytest.mark.slow
+class TestAtomicWriteText:
+    """A write that fails before its rename leaves no trace."""
+
+    def test_failed_rewrite_leaves_old_file_intact(self, tmp_path,
+                                                   monkeypatch):
+        import os as os_mod
+
+        target = tmp_path / "entry.json"
+        atomic_write_text(target, "good\n")
+
+        def exploding_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os_mod, "replace", exploding_replace)
+        with pytest.raises(OSError, match="disk full"):
+            atomic_write_text(target, "new\n")
+        monkeypatch.undo()
+        # The committed file is untouched and no temp file survived.
+        assert target.read_text() == "good\n"
+        assert [p.name for p in tmp_path.iterdir()] == [target.name]
+
+    def test_write_is_not_torn_by_interrupt(self, tmp_path, monkeypatch):
+        # Die between temp-file write and rename: the target simply does
+        # not exist yet, rather than existing half-written.
+        import os as os_mod
+
+        target = tmp_path / "entry.json"
+        monkeypatch.setattr(
+            os_mod, "replace",
+            lambda src, dst: (_ for _ in ()).throw(KeyboardInterrupt()),
+        )
+        with pytest.raises(KeyboardInterrupt):
+            atomic_write_text(target, "text\n")
+        monkeypatch.undo()
+        assert not target.exists()
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestConcurrentAdds:
     def test_two_processes_lose_no_manifest_rows(self, tmp_path):
         """Concurrent adds from separate processes must all land.

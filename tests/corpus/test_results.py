@@ -14,14 +14,14 @@ from pathlib import Path
 import pytest
 
 import repro.corpus.results as results_module
-from repro.corpus import ResultStore, ResultStoreError, store_from_env
+from repro.corpus import ResultStore, ResultStoreError
+from repro.exec.backends import TrialOutcome
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
 def trial_record(trial: int, **overrides):
-    record = {
-        "kind": "trial",
+    fields = {
         "trial": trial,
         "seed": 100 + trial,
         "valid": trial % 2 == 0,
@@ -30,8 +30,8 @@ def trial_record(trial: int, **overrides):
         "max_queries": 10 + trial,
         "random_bits": 5 * trial,
     }
-    record.update(overrides)
-    return record
+    fields.update(overrides)
+    return TrialOutcome(**fields)
 
 
 class TestSweepRows:
@@ -72,24 +72,21 @@ class TestSweepRows:
 
 
 class TestTrialRows:
-    def test_records_round_trip_in_journal_format(self, tmp_result_store):
+    def test_outcomes_round_trip(self, tmp_result_store):
         store = tmp_result_store
         store.record_trial_run("run1", {"base_seed": 7})
         records = [trial_record(t) for t in (1, 0, 2)]
         store.record_trials("run1", records)
         restored = store.trial_records("run1")
-        assert [r["trial"] for r in restored] == [0, 1, 2]  # trial order
+        assert [r.trial for r in restored] == [0, 1, 2]  # trial order
         assert restored[1] == trial_record(1)
         assert store.trial_records("other") == []
 
-    def test_non_trial_records_filtered(self, tmp_result_store):
+    def test_empty_batch_records_nothing(self, tmp_result_store):
         store = tmp_result_store
-        store.record_trials("run1", [
-            {"kind": "meta", "note": "ignored"},
-            trial_record(0),
-        ])
-        assert len(store.trial_records("run1")) == 1
-        store.record_trials("run1", [{"kind": "meta"}])  # all filtered
+        store.record_trials("run1", [])
+        assert store.trial_records("run1") == []
+        assert store.summary()["trials"] == 0
 
     def test_rewrite_is_idempotent(self, tmp_result_store):
         store = tmp_result_store
@@ -99,7 +96,7 @@ class TestTrialRows:
         )
         restored = store.trial_records("run1")
         assert len(restored) == 2
-        assert restored[0]["max_volume"] == 10  # first writer won
+        assert restored[0].max_volume == 10  # first writer won
 
 
 class TestServiceResponses:
@@ -150,7 +147,7 @@ class TestStoreFile:
     def test_reopening_preserves_rows(self, tmp_path):
         path = tmp_path / "r.sqlite"
         ResultStore(path).record_trials("run1", [trial_record(0)])
-        assert ResultStore(path).trial_records("run1")[0]["trial"] == 0
+        assert ResultStore(path).trial_records("run1")[0].trial == 0
 
     def test_non_sqlite_file_raises(self, tmp_path):
         path = tmp_path / "r.sqlite"
@@ -191,35 +188,27 @@ class TestStoreFile:
             release.join()
             writer.close()
         store.record_trials("run", [trial_record(0)])
-        assert store.trial_records("run")[0]["trial"] == 0
+        assert store.trial_records("run")[0].trial == 0
         with sqlite3.connect(str(path)) as check:
             mode = check.execute("PRAGMA journal_mode").fetchone()
         check.close()
         assert mode == ("wal",)
-
-    def test_store_from_env(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_RESULT_STORE", raising=False)
-        assert store_from_env() is None
-        monkeypatch.setenv("REPRO_RESULT_STORE", str(tmp_path / "e.sqlite"))
-        store = store_from_env()
-        assert store is not None
-        assert store.path == tmp_path / "e.sqlite"
 
 
 _APPEND_SCRIPT = """
 import sys
 sys.path.insert(0, sys.argv[4])
 from repro.corpus import ResultStore
+from repro.exec.backends import TrialOutcome
 
 path, run_key, start = sys.argv[1], sys.argv[2], int(sys.argv[3])
 store = ResultStore(path)
 store.record_trial_run(run_key, {"writer": "race"})
 for trial in range(start, start + 40):
-    store.record_trials(run_key, [{
-        "kind": "trial", "trial": trial, "seed": trial, "valid": True,
-        "max_volume": trial, "max_distance": 1, "max_queries": trial,
-        "random_bits": 0,
-    }])
+    store.record_trials(run_key, [TrialOutcome(
+        trial=trial, seed=trial, valid=True, max_volume=trial,
+        max_distance=1, max_queries=trial, random_bits=0,
+    )])
 """
 
 
@@ -249,7 +238,7 @@ class TestConcurrentAppends:
             assert proc.returncode == 0, err.decode()
         store = ResultStore(path)
         records = store.trial_records("shared-run")
-        assert [r["trial"] for r in records] == list(range(60))
+        assert [r.trial for r in records] == list(range(60))
         assert store.summary()["trial_runs"] == 1
 
 

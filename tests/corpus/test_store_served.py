@@ -4,7 +4,7 @@ import random
 
 from repro.algorithms.leaf_coloring_algs import RWtoLeaf
 from repro.corpus import ResultStore
-from repro.exec.sweep import InstanceFamily, SweepCache, SweepSpec, run_sweep
+from repro.exec.sweep import InstanceFamily, SweepSpec, run_sweep
 from repro.graphs.generators import leaf_coloring_instance
 from repro.montecarlo.engine import TrialPolicy, run_trials
 from repro.problems.leaf_coloring import LeafColoring
@@ -38,7 +38,7 @@ class TestStoreServedSweeps:
 
         second = run_sweep(counting_spec(executed), store=store)
         assert len(executed) == 3  # nothing re-executed
-        assert second.from_store and second.from_cache
+        assert second.from_store
         assert second.ns == first.ns
         assert second.costs == first.costs
         assert [p.param for p in second.points] == [
@@ -84,35 +84,6 @@ class TestStoreServedSweeps:
         # And nothing was recorded over the conflicting registration.
         assert store.sweep_points(key)[0]["cost"] == -1.0
         assert len(store.sweep_points(key)) == 1
-
-    def test_cache_hit_backfills_store(self, tmp_result_store, tmp_path):
-        cache = SweepCache(tmp_path / "cache")
-        store = tmp_result_store
-        executed = []
-        run_sweep(counting_spec(executed), cache=cache)  # store unaware
-        spec = counting_spec(executed)
-        result = run_sweep(spec, cache=cache, store=store)
-        assert result.from_cache
-        assert len(executed) == 3  # served by the cache, not re-run
-        assert len(store.sweep_points(spec.cache_key())) == 3
-
-    def test_store_survives_where_cache_is_cleared(
-        self, tmp_result_store, tmp_path
-    ):
-        # The cache is per-directory scratch; the store is the durable
-        # campaign record. Losing the former must not lose results.
-        cache = SweepCache(tmp_path / "cache")
-        store = tmp_result_store
-        executed = []
-        run_sweep(counting_spec(executed), cache=cache, store=store)
-        for path in (tmp_path / "cache").iterdir():
-            path.unlink()
-        result = run_sweep(
-            counting_spec(executed), cache=SweepCache(tmp_path / "cache"),
-            store=store,
-        )
-        assert len(executed) == 3
-        assert result.from_store
 
     def test_registered_algorithm_sweep_round_trips(self, tmp_result_store):
         # Same flow through a registry algorithm (bytecode-fingerprinted
@@ -164,27 +135,3 @@ class TestStoreServedTrials:
         )
         assert store.summary()["trial_runs"] == 2
         assert store.summary()["trials"] == 16
-
-    def test_journal_and_store_replay_merge(self, tmp_result_store):
-        from repro.montecarlo.engine import trial_journal_key
-
-        store = tmp_result_store
-        problem, instance, algo = self._cell()
-        policy = TrialPolicy.fixed(16)
-        full = run_trials(
-            problem, instance, algo.make(), policy, base_seed=7, store=store,
-        )
-        # Truncate the store to the first batch; a journal-less re-run
-        # must replay the prefix and re-execute only the rest.
-        run_key, _ = trial_journal_key(
-            problem, instance, algo.make(), policy, 7, None, None
-        )
-        import sqlite3
-
-        with sqlite3.connect(store.path) as conn:
-            conn.execute("DELETE FROM trials WHERE trial >= 8")
-        second = run_trials(
-            problem, instance, algo.make(), policy, base_seed=7, store=store,
-        )
-        assert second.verdicts == full.verdicts
-        assert len(store.trial_records(run_key)) == 16  # backfilled

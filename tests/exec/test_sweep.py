@@ -1,4 +1,4 @@
-"""Sweep orchestrator: declarative specs, caching, reporting."""
+"""Sweep orchestrator: declarative specs, store-served points, reporting."""
 
 import random
 
@@ -12,9 +12,7 @@ from repro.algorithms.leaf_coloring_algs import (
 from repro.exec.backends import ProcessPoolBackend, SerialBackend
 from repro.exec.sweep import (
     InstanceFamily,
-    SweepCache,
     SweepSpec,
-    cache_from_env,
     run_sweep,
     run_sweeps,
 )
@@ -131,12 +129,11 @@ class TestRunSweep:
         assert [r.spec.label for r in results] == ["dist", "vol"]
 
 
-class TestCacheHitReporting:
-    """Regression: cached sweeps must not be counted as executed.
+class TestStoreHitReporting:
+    """Store-served sweeps must not be counted as executed.
 
-    The run_sweeps summary line used to report every sweep as executed;
-    on a warm cache that overstated the work done.  Cache hits are now
-    reported separately.
+    A served result costs no measurements, so the run_sweeps summary
+    line reports store hits separately from executed sweeps.
     """
 
     def _spec(self):
@@ -145,34 +142,34 @@ class TestCacheHitReporting:
             seed=7,
         )
 
-    def test_warm_cache_reports_zero_executed(self, tmp_path):
-        cache = SweepCache(tmp_path)
-        run_sweeps([self._spec()], cache=cache)  # warm the cache
+    def test_warm_store_reports_zero_executed(self, tmp_result_store):
+        store = tmp_result_store
+        run_sweeps([self._spec()], store=store)  # warm the store
         lines = []
-        results = run_sweeps([self._spec()], cache=cache,
+        results = run_sweeps([self._spec()], store=store,
                              progress=lines.append)
-        assert all(r.from_cache for r in results)
-        assert "sweeps: 0 executed, 1 cache hit" in lines[-1]
+        assert all(r.from_store for r in results)
+        assert "sweeps: 0 executed, 1 store hit" in lines[-1]
 
-    def test_cold_cache_reports_all_executed(self, tmp_path):
+    def test_cold_store_reports_all_executed(self, tmp_result_store):
         lines = []
-        run_sweeps([self._spec()], cache=SweepCache(tmp_path),
+        run_sweeps([self._spec()], store=tmp_result_store,
                    progress=lines.append)
-        assert "sweeps: 1 executed, 0 cache hits" in lines[-1]
+        assert "sweeps: 1 executed, 0 store hits" in lines[-1]
 
-    def test_mixed_batch_splits_the_counts(self, tmp_path):
-        cache = SweepCache(tmp_path)
-        cached_spec = self._spec()
-        run_sweeps([cached_spec], cache=cache)
+    def test_mixed_batch_splits_the_counts(self, tmp_result_store):
+        store = tmp_result_store
+        stored_spec = self._spec()
+        run_sweeps([stored_spec], store=store)
         fresh_spec = SweepSpec(
             "walk-fresh", "Θ(log n)", leaf_family((3, 4)), "volume",
             RWtoLeaf, seed=8,
         )
         lines = []
-        results = run_sweeps([cached_spec, fresh_spec], cache=cache,
+        results = run_sweeps([stored_spec, fresh_spec], store=store,
                              progress=lines.append)
-        assert [r.from_cache for r in results] == [True, False]
-        assert "sweeps: 1 executed, 1 cache hit" in lines[-1]
+        assert [r.from_store for r in results] == [True, False]
+        assert "sweeps: 1 executed, 1 store hit" in lines[-1]
 
 
 class TestSuccessRateMetric:
@@ -217,28 +214,26 @@ class TestSuccessRateMetric:
             assert point.cost == direct.rate
             assert point.detail["trials"] == direct.trials
 
-    def test_detail_round_trips_through_cache(self, tmp_path):
-        cache = SweepCache(tmp_path)
+    def test_detail_round_trips_through_store(self, tmp_result_store):
         spec = self._spec()
-        measured = run_sweep(spec, cache=cache)
-        cached = run_sweep(spec, cache=cache)
-        assert cached.from_cache
-        assert [p.detail for p in cached.points] == [
+        measured = run_sweep(spec, store=tmp_result_store)
+        stored = run_sweep(spec, store=tmp_result_store)
+        assert stored.from_store
+        assert [p.detail for p in stored.points] == [
             p.detail for p in measured.points
         ]
 
-    def test_policy_change_invalidates_cache(self, tmp_path):
+    def test_policy_change_invalidates_store_key(self, tmp_result_store):
         from repro.montecarlo.engine import TrialPolicy
 
-        cache = SweepCache(tmp_path)
-        run_sweep(self._spec(), cache=cache)
+        run_sweep(self._spec(), store=tmp_result_store)
         other = run_sweep(
             self._spec(policy=TrialPolicy(
                 min_trials=4, max_trials=16, batch_size=4, tolerance=0.05
             )),
-            cache=cache,
+            store=tmp_result_store,
         )
-        assert not other.from_cache
+        assert not other.from_store
 
     def test_success_rate_requires_policy_and_problem(self):
         from repro.montecarlo.engine import TrialPolicy
@@ -273,150 +268,103 @@ class TestSuccessRateMetric:
             )
 
 
-class TestSweepCache:
-    def test_round_trip(self, tmp_path):
-        cache = SweepCache(tmp_path)
+class TestStoreKey:
+    def test_round_trip(self, tmp_result_store):
         spec = SweepSpec(
             "walk", "Θ(log n)", leaf_family(), "volume", RWtoLeaf, seed=7
         )
-        measured = run_sweep(spec, cache=cache)
-        assert not measured.from_cache
+        measured = run_sweep(spec, store=tmp_result_store)
+        assert not measured.from_store
         hits = []
-        cached = run_sweep(spec, cache=cache, progress=hits.append)
-        assert cached.from_cache
-        assert cached.ns == measured.ns
-        assert cached.costs == measured.costs
-        assert [p.param for p in cached.points] == [3, 4, 5]
-        assert any("cached" in line for line in hits)
+        stored = run_sweep(spec, store=tmp_result_store,
+                           progress=hits.append)
+        assert stored.from_store
+        assert stored.ns == measured.ns
+        assert stored.costs == measured.costs
+        assert [p.param for p in stored.points] == [3, 4, 5]
+        assert any("stored point restored" in line for line in hits)
 
-    def test_spec_change_invalidates(self, tmp_path):
-        cache = SweepCache(tmp_path)
+    def test_spec_change_invalidates(self, tmp_result_store):
         family = leaf_family()
         run_sweep(
             SweepSpec("walk", "Θ(log n)", family, "volume", RWtoLeaf, seed=7),
-            cache=cache,
+            store=tmp_result_store,
         )
         other = run_sweep(
             SweepSpec("walk", "Θ(log n)", family, "volume", RWtoLeaf, seed=8),
-            cache=cache,
+            store=tmp_result_store,
         )
-        assert not other.from_cache
+        assert not other.from_store
 
-    def test_measure_body_edit_invalidates(self, tmp_path):
-        cache = SweepCache(tmp_path)
+    def test_measure_body_edit_invalidates(self, tmp_result_store):
         family = leaf_family()
         first = run_sweep(
             SweepSpec("m", "Θ(n)", family,
                       measure=lambda inst, d: inst.graph.num_nodes),
-            cache=cache,
+            store=tmp_result_store,
         )
         # Same label/family/qualname, different body: must re-measure.
         second = run_sweep(
             SweepSpec("m", "Θ(n)", family,
                       measure=lambda inst, d: 2 * inst.graph.num_nodes),
-            cache=cache,
+            store=tmp_result_store,
         )
-        assert not second.from_cache
+        assert not second.from_store
         assert second.costs == [2 * c for c in first.costs]
 
-    def test_corrupt_file_remeasures(self, tmp_path):
-        cache = SweepCache(tmp_path)
+    def test_mangled_registration_remeasures(self, tmp_result_store):
+        import json
+        import sqlite3
+
         spec = SweepSpec(
             "walk", "Θ(log n)", leaf_family(), "volume", RWtoLeaf
         )
-        run_sweep(spec, cache=cache)
-        cache._path(spec).write_text("{not json")
-        result = run_sweep(spec, cache=cache)
-        assert not result.from_cache
-
-    def test_cache_from_env(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_SWEEP_CACHE", raising=False)
-        assert cache_from_env() is None
-        monkeypatch.setenv("REPRO_SWEEP_CACHE", str(tmp_path))
-        cache = cache_from_env()
-        assert cache is not None
-        assert cache.root == tmp_path
-
-
-class TestCacheDurability:
-    """PR 9 satellite: SweepCache.store follows the Journal discipline."""
-
-    def test_failed_rewrite_leaves_old_file_intact(self, tmp_path,
-                                                   monkeypatch):
-        import os as os_mod
-
-        cache = SweepCache(tmp_path)
-        spec = SweepSpec(
-            "walk", "Θ(log n)", leaf_family(), "volume", RWtoLeaf, seed=7
-        )
-        result = run_sweep(spec, cache=cache)
-        good = cache._path(spec).read_text()
-
-        def exploding_replace(src, dst):
-            raise OSError("disk full")
-
-        monkeypatch.setattr(os_mod, "replace", exploding_replace)
-        with pytest.raises(OSError, match="disk full"):
-            cache.store(result)
-        monkeypatch.undo()
-        # The committed file is untouched and no temp file survived.
-        assert cache._path(spec).read_text() == good
-        assert [p.name for p in tmp_path.iterdir()] == [
-            cache._path(spec).name
-        ]
-        assert run_sweep(spec, cache=cache).from_cache
-
-    def test_store_write_is_not_torn_by_interrupt(self, tmp_path,
-                                                  monkeypatch):
-        # Die between temp-file write and rename: the cache entry simply
-        # does not exist yet, rather than existing half-written.
-        cache = SweepCache(tmp_path)
-        spec = SweepSpec(
-            "walk", "Θ(log n)", leaf_family(), "volume", RWtoLeaf, seed=7
-        )
-        result = run_sweep(spec)
-        import os as os_mod
-
-        monkeypatch.setattr(
-            os_mod, "replace",
-            lambda src, dst: (_ for _ in ()).throw(KeyboardInterrupt()),
-        )
-        with pytest.raises(KeyboardInterrupt):
-            cache.store(result)
-        monkeypatch.undo()
-        assert not cache._path(spec).exists()
-        assert list(tmp_path.iterdir()) == []
+        first = run_sweep(spec, store=tmp_result_store)
+        with sqlite3.connect(tmp_result_store.path) as conn:
+            conn.execute(
+                "UPDATE sweeps SET describe_json = ?",
+                (json.dumps({"mangled": True}),),
+            )
+        result = run_sweep(spec, store=tmp_result_store)
+        assert not result.from_store
+        assert result.costs == first.costs
 
 
 class TestJsonifyKeys:
     """PR 9 satellite: non-string detail keys normalize consistently."""
 
-    def test_int_keyed_detail_round_trips_through_cache(self, tmp_path):
+    def test_int_keyed_detail_round_trips_through_store(
+        self, tmp_result_store
+    ):
         # A detail dict keyed by ints (e.g. per-node histograms) must
-        # come back from the cache identical to the freshly-measured
+        # come back from the store identical to the freshly-measured
         # result instead of mismatching forever on the str-keyed copy.
-        from repro.exec.sweep import SweepPoint, SweepResult, _jsonify
+        from repro.exec.sweep import _jsonify
 
         detail = {3: "a", 10: "b", True: "t"}
         assert _jsonify(detail) == {"3": "a", "10": "b", "true": "t"}
         # json round trip equals direct normalization: both sides of
-        # the cache's describe comparison see the same document.
+        # the store's describe comparison see the same document.
         import json as json_mod
 
         assert json_mod.loads(json_mod.dumps(detail)) == _jsonify(detail)
 
-        cache = SweepCache(tmp_path)
+        from repro.exec.sweep import SweepPoint, _record_point_to_store
+
+        store = tmp_result_store
         spec = SweepSpec(
             "int-keys", "Θ(n)", leaf_family((3,)),
             measure=lambda inst, d: float(inst.graph.num_nodes),
         )
-        result = SweepResult(spec=spec)
-        result.points.append(SweepPoint(
+        key = spec.cache_key()
+        store.record_sweep_meta(
+            key, spec.label, _jsonify(spec.describe()), 1
+        )
+        _record_point_to_store(store, key, 0, SweepPoint(
             param=3, n=15, cost=15.0, elapsed=0.0, detail=_jsonify(detail),
         ))
-        cache.store(result)
-        restored = cache.load(spec)
-        assert restored is not None
+        restored = run_sweep(spec, store=store)
+        assert restored.from_store
         assert restored.points[0].detail == _jsonify(detail)
 
     def test_key_collision_raises_instead_of_silent_overwrite(self):
@@ -433,8 +381,7 @@ class TestJsonifyKeys:
         with pytest.raises(TypeError):
             _jsonify({(1, 2): "tuple-key"})
 
-    def test_describe_with_int_keys_hits_cache(self, tmp_path):
-        cache = SweepCache(tmp_path)
+    def test_describe_with_int_keys_hits_store(self, tmp_result_store):
         family = leaf_family()
 
         def measure(instance, param):
@@ -446,5 +393,7 @@ class TestJsonifyKeys:
                 candidates=["n", "log n"],
             )
 
-        run_sweep(spec_with_candidates(), cache=cache)
-        assert run_sweep(spec_with_candidates(), cache=cache).from_cache
+        run_sweep(spec_with_candidates(), store=tmp_result_store)
+        assert run_sweep(
+            spec_with_candidates(), store=tmp_result_store
+        ).from_store

@@ -2,24 +2,24 @@
 
 Hypothesis drives fault plans (seed x rate x budget x kind subsets)
 across transports, registry cells, and workload shapes; the invariants
-are always the same three:
+are always the same two:
 
 1. the chaotic result is bitwise equal to the fault-free serial run,
-2. ``/dev/shm`` is exactly as clean after the run as before it,
-3. a journal cut at any record boundary resumes to the identical result.
+2. ``/dev/shm`` is exactly as clean after the run as before it.
+
+Resume after a crash is the result store's property, tested in
+``tests/corpus/test_resume.py``.
 """
 
 import random
 
-import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms.leaf_coloring_algs import RWtoLeaf
 from repro.faults.chaos import run_chaos, shm_entries
 from repro.faults.plan import FAULT_KINDS, FaultPlan
 from repro.graphs.generators import leaf_coloring_instance
-from repro.montecarlo.engine import TrialPolicy, run_trials
 from repro.problems.leaf_coloring import LeafColoring
 from repro.cli import resolve_cell
 from repro.registry import load_components
@@ -110,74 +110,3 @@ class TestChaosInvariants:
 
         assert published_segments() == []
         assert isinstance(shm_entries(), set)
-
-
-POLICY = TrialPolicy(
-    min_trials=8, max_trials=24, batch_size=8, early_stop=False
-)
-
-
-def _trials(journal=None):
-    return run_trials(
-        LeafColoring(),
-        _instance(),
-        RWtoLeaf(),
-        POLICY,
-        base_seed=17,
-        journal=journal,
-    )
-
-
-@pytest.fixture(scope="module")
-def journal_lines(tmp_path_factory):
-    """Header + 24 fsynced trial records from one complete run."""
-    path = tmp_path_factory.mktemp("baseline") / "mc.jsonl"
-    _trials(journal=path)
-    return path.read_text().splitlines(keepends=True)
-
-
-@pytest.fixture(scope="module")
-def baseline():
-    return _trials()
-
-
-class TestJournalCutProperty:
-    @settings(
-        max_examples=8,
-        deadline=None,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
-    @given(cut=st.integers(min_value=0, max_value=24))
-    def test_resume_from_any_record_boundary(
-        self, tmp_path, journal_lines, baseline, cut
-    ):
-        """A crash after any fsynced record resumes bitwise-identically.
-
-        ``cut`` keeps the header plus the first ``cut`` trial records —
-        exactly the on-disk state a kill -9 leaves after that many
-        durable appends (every earlier line is intact by append order).
-        """
-        path = tmp_path / f"cut-{cut}.jsonl"
-        path.write_text("".join(journal_lines[: 1 + cut]))
-        resumed = _trials(journal=path)
-        assert resumed.outcomes == baseline.outcomes
-        assert resumed.rate == baseline.rate
-
-    @settings(
-        max_examples=6,
-        deadline=None,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
-    @given(
-        cut=st.integers(min_value=0, max_value=23),
-        torn=st.integers(min_value=1, max_value=40),
-    )
-    def test_resume_past_a_torn_tail(
-        self, tmp_path, journal_lines, baseline, cut, torn
-    ):
-        """Same property with a torn partial record after the cut."""
-        path = tmp_path / f"torn-{cut}-{torn}.jsonl"
-        tail = journal_lines[1 + cut].rstrip("\n")[:torn]
-        path.write_text("".join(journal_lines[: 1 + cut]) + tail)
-        resumed = _trials(journal=path)
-        assert resumed.outcomes == baseline.outcomes

@@ -98,3 +98,105 @@ def test_guard_checks_every_read_of_a_repeated_predicate():
     for _ in range(2):
         with pytest.raises(LocalityViolation):
             ts.is_internal(guard, root)
+
+
+PROBE_PROBLEMS = (
+    "leaf-coloring",
+    "balanced-tree",
+    "hierarchical-thc(2)",
+    "hybrid-thc(2)",
+    "hh-thc(2,3)",
+)
+PROBE_CELLS = [
+    c
+    for c in iter_compatible(problems=PROBE_PROBLEMS)
+    if not c.algorithm.name.endswith("/full-gather")
+]
+
+
+@pytest.mark.parametrize(
+    "cell",
+    PROBE_CELLS,
+    ids=lambda c: f"{c.algorithm.name}@{c.family.name}",
+)
+def test_probe_topology_memo_changes_no_run(cell, monkeypatch):
+    """``ProbeTopology.internal_memo`` leaves outputs and costs alone."""
+    from repro.exec.backends import SerialBackend
+    from repro.model.views import ProbeTopology
+
+    instance = _quick_instance(cell.family)
+    algorithm = cell.algorithm
+
+    def run():
+        return run_algorithm(
+            instance,
+            algorithm.make(),
+            seed=algorithm.seed,
+            backend=SerialBackend(),
+        )
+
+    memoized = run()
+    init = ProbeTopology.__init__
+
+    def unmemoized(self, view):
+        init(self, view)
+        self.internal_memo = None  # is_internal recomputes every ask
+
+    monkeypatch.setattr(ProbeTopology, "__init__", unmemoized)
+    plain = run()
+    assert memoized.outputs == plain.outputs
+    assert memoized.profiles == plain.profiles
+
+
+@pytest.mark.parametrize(
+    "algorithm", ["hybrid-thc(2)/distance", "hh-thc(2,3)/distance"]
+)
+def test_probe_topology_evaluates_each_node_once(algorithm, monkeypatch):
+    from repro.model.views import ProbeTopology
+
+    cell = next(c for c in PROBE_CELLS if c.algorithm.name == algorithm)
+    evaluated = []
+    inner = ts._is_internal
+
+    def counting(t, v):
+        if isinstance(t, ProbeTopology):
+            evaluated.append((t, v))
+        return inner(t, v)
+
+    monkeypatch.setattr(ts, "_is_internal", counting)
+    run_algorithm(
+        _quick_instance(cell.family),
+        cell.algorithm.make(),
+        seed=cell.algorithm.seed,
+    )
+    assert evaluated
+    assert len(evaluated) == len(set(evaluated))
+
+
+@pytest.mark.parametrize(
+    "param", FAMILIES.get("hybrid-thc(2)").quick, ids=repr
+)
+def test_hybrid_reference_builds_one_topology(param, monkeypatch):
+    from repro.graphs.labelings import EXEMPT
+    from repro.problems.balanced_tree import (
+        reference_solution as balanced_reference,
+    )
+    from repro.problems.hybrid_thc import reference_solution
+
+    instance = FAMILIES.get("hybrid-thc(2)").instance(param)
+    fresh = ts.InstanceTopology(instance)
+    balanced = balanced_reference(instance)
+    expected = {
+        v: balanced[v] if ts.level_of(fresh, v, cap=2) == 1 else EXEMPT
+        for v in instance.graph.nodes()
+    }
+    built = []
+    init = ts.InstanceTopology.__init__
+
+    def counting(self, inst):
+        built.append(inst)
+        init(self, inst)
+
+    monkeypatch.setattr(ts.InstanceTopology, "__init__", counting)
+    assert reference_solution(instance, 2) == expected
+    assert built == [instance]

@@ -7,12 +7,10 @@ every node of small instances, because the giant-n sweeps rest
 entirely on that equivalence.  The rest pins the API-redesign spine:
 ``InstanceSpec`` pickling in O(1) bytes, the bounded LRU, the
 ``as_oracle`` dispatch matrix, the documented backend-spec grammar,
-and the runner's deprecation shims.
+and the runner's refusal of a bare graph or a pre-built oracle.
 """
 
-import importlib
 import pickle
-import sys
 
 import pytest
 from hypothesis import given, settings
@@ -281,34 +279,18 @@ class TestRunnerAcceptsSpecs:
             solve_and_check(problem, spec, algo.make(), seed=7)
 
 
-class TestRunnerDeprecationShims:
-    def test_bare_graph_warns_and_still_runs(self):
+class TestRunnerRejectsLegacySources:
+    def test_bare_graph_raises_type_error(self):
         instance = InstanceSpec("cycle-uniform", 8).materialize()
         algo = ALGORITHMS.get("constant/echo-ok")
-        with pytest.warns(DeprecationWarning, match="bare graph"):
-            result = run_algorithm(instance.graph, algo.make())
-        assert len(result.outputs) == 8
+        with pytest.raises(TypeError, match="Instance or InstanceSpec"):
+            run_algorithm(instance.graph, algo.make())
 
-    def test_prebuilt_oracle_warns_and_unwraps(self):
+    def test_prebuilt_oracle_raises_type_error(self):
         instance = InstanceSpec("cycle-uniform", 8).materialize()
         algo = ALGORITHMS.get("constant/echo-ok")
-        with pytest.warns(DeprecationWarning, match="pre-built oracle"):
-            result = run_algorithm(StaticOracle(instance), algo.make())
-        assert len(result.outputs) == 8
-
-
-class TestLowerBoundShims:
-    @pytest.mark.parametrize("module", [
-        "repro.lower_bounds.disjointness",
-        "repro.lower_bounds.hierarchical_adversary",
-        "repro.lower_bounds.leaf_coloring_adversary",
-    ])
-    def test_import_warns_but_reexports(self, module):
-        sys.modules.pop(module, None)
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            shim = importlib.import_module(module)
-        for name in shim.__all__:
-            assert getattr(shim, name) is not None
+        with pytest.raises(TypeError, match="Instance or InstanceSpec"):
+            run_algorithm(StaticOracle(instance), algo.make())
 
 
 class TestParseBackendSpec:
