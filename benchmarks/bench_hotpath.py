@@ -80,15 +80,9 @@ SCHEMA_VERSION = 3
 
 
 def load_hotpath_artifact(source) -> Dict[str, object]:
-    """Read a hot-path artifact, upgrading schema v1 payloads in place.
+    """Read a hot-path artifact, refusing any schema but the current one.
 
-    ``source`` is a path or an already-parsed dict.  Version 1 artifacts
-    (PR 3-5) predate the ``parallel_scaling`` / ``trial_batch`` sections
-    and the parallel gate keys; version 2 (PR 6-7) predates the
-    ``fault_recovery`` section and its supervision gate keys.  The shim
-    fills the missing pieces with empty/None values and stamps
-    ``upgraded_from`` so v3 consumers (CI scripts, analysis notebooks)
-    can read any committed artifact uniformly.
+    ``source`` is a path or an already-parsed dict.
     """
     if isinstance(source, dict):
         artifact = source
@@ -98,26 +92,9 @@ def load_hotpath_artifact(source) -> Dict[str, object]:
     if artifact.get("schema") != SCHEMA_NAME:
         raise ValueError(f"not a {SCHEMA_NAME} artifact: {source!r}")
     version = artifact.get("schema_version")
-    if version == SCHEMA_VERSION:
-        return artifact
-    if version not in (1, 2):
+    if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported {SCHEMA_NAME} schema_version "
                          f"{version!r}")
-    artifact = dict(artifact)
-    artifact["schema_version"] = SCHEMA_VERSION
-    artifact["upgraded_from"] = version
-    gate = dict(artifact.get("gate", {}))
-    if version == 1:
-        artifact.setdefault("parallel_scaling", [])
-        artifact.setdefault("trial_batch", [])
-        gate.setdefault("parallel_speedup_2w_shm", None)
-        gate.setdefault("parallel_ok", True)  # nothing measured =>
-        gate.setdefault("shm_leak_free", True)  # nothing failed
-    artifact.setdefault("fault_recovery", None)
-    gate.setdefault("supervision_overhead", None)
-    gate.setdefault("supervision_ok", True)
-    gate.setdefault("fault_recovery_ok", True)
-    artifact["gate"] = gate
     return artifact
 
 

@@ -46,6 +46,10 @@ def _fail(message: str) -> int:
     return USAGE_ERROR
 
 
+def _progress_printer(line: str) -> None:
+    print(line, file=sys.stderr)
+
+
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     """A plain fixed-width table (no external dependencies)."""
     cells = [list(headers)] + [[str(c) for c in row] for row in rows]
@@ -423,7 +427,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     from repro.suites import run_suite
 
     load_components()
-    progress = print if args.progress else None
+    # stderr, so --progress cannot corrupt --json output.
+    progress = _progress_printer if args.progress else None
     printer = None if args.json else print
     if args.seed is not None and not (args.family and args.algorithm):
         return _fail(

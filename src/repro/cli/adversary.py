@@ -105,7 +105,7 @@ def cmd_adversary_run(args: argparse.Namespace) -> int:
 
 def cmd_adversary_sweep(args: argparse.Namespace) -> int:
     from repro.adversary.base import sweep_records
-    from repro.cli import _fail, format_table
+    from repro.cli import _fail, _progress_printer, format_table
 
     load_components()
     try:
@@ -116,7 +116,8 @@ def cmd_adversary_sweep(args: argparse.Namespace) -> int:
         )
     except RegistryError as exc:
         return _fail(str(exc))
-    progress = print if args.progress else None
+    # stderr, so --progress cannot corrupt --json output.
+    progress = _progress_printer if args.progress else None
     records = sweep_records(entries, args.grid, progress=progress)
     if args.json:
         print(json.dumps(records, indent=2))

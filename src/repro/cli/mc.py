@@ -45,7 +45,13 @@ def _policy(args: argparse.Namespace):
 def cmd_mc(args: argparse.Namespace) -> int:
     from contextlib import ExitStack
 
-    from repro.cli import _fail, implicit_instance, parse_param, resolve_cell
+    from repro.cli import (
+        _fail,
+        _progress_printer,
+        implicit_instance,
+        parse_param,
+        resolve_cell,
+    )
     from repro.exec.backends import get_backend
     from repro.montecarlo.engine import run_trials
 
@@ -81,10 +87,6 @@ def cmd_mc(args: argparse.Namespace) -> int:
             return _fail(
                 f"family {family.name!r} rejected param {param!r}: {exc}"
             )
-        def progress(line: str) -> None:
-            # stderr on purpose: --progress must not corrupt --json output.
-            print(line, file=sys.stderr)
-
         from repro.corpus import ResultStore, ResultStoreError
 
         try:
@@ -99,7 +101,8 @@ def cmd_mc(args: argparse.Namespace) -> int:
                 base_seed=base_seed,
                 backend=backend,
                 store=store,
-                progress=progress if args.progress else None,
+                # stderr, so --progress cannot corrupt --json output.
+                progress=_progress_printer if args.progress else None,
             )
         except ResultStoreError as exc:
             return _fail(str(exc))

@@ -3,7 +3,7 @@
 * ``repro serve`` — run the asyncio HTTP/JSON service in the foreground
   (Ctrl-C to stop): the registry behind ``POST /solve``, ``POST /mc``,
   ``POST /adversary`` and ``GET /registry|/healthz|/stats``, with
-  micro-batched execution, store-backed response caching, and 429
+  one worker thread, store-backed response caching, and 429
   backpressure (see :mod:`repro.serve`);
 * ``repro load`` — drive a running server with the deterministic load
   generator and gate the measured numbers (p99 latency ceiling,
@@ -32,8 +32,6 @@ def _serve_config(args: argparse.Namespace):
         backend=args.backend or "batch",
         store=args.store,
         queue_limit=args.queue_limit,
-        batch_window=args.batch_window_ms / 1000.0,
-        max_batch=args.max_batch,
         default_deadline=args.deadline,
     )
 
@@ -111,8 +109,7 @@ def _print_report(report, printer=print) -> None:
         printer(f"probe {name}: {counts}")
     printer(
         f"repeat phase: identical={report.repeat_identical} "
-        f"new_executions={report.repeat_executions} "
-        f"batches={report.batch_histogram}"
+        f"new_executions={report.repeat_executions}"
     )
     for failure in report.failures:
         printer(f"GATE FAILED: {failure}")
@@ -162,8 +159,8 @@ def serving_record(
     the quick load preset against it (cold + repeat phases, deadline and
     burst probes, cache gates armed), and returns the artifact record —
     so every committed artifact carries measured p50/p99, requests/sec,
-    the batch-size histogram, and a repeat phase proving the store
-    served bitwise-identical responses with zero new executions.
+    and a repeat phase proving the store served bitwise-identical
+    responses with zero new executions.
     """
     from repro.serve.load import LoadConfig, run_load
     from repro.serve.service import ServeConfig, ServerThread
@@ -193,8 +190,6 @@ def serving_record(
     payload["config"] = {
         "backend": server_config.backend,
         "queue_limit": server_config.queue_limit,
-        "batch_window": server_config.batch_window,
-        "max_batch": server_config.max_batch,
         "requests": load_config.requests,
         "concurrency": load_config.concurrency,
         "mode": load_config.mode,
@@ -237,14 +232,6 @@ def add_serve_arguments(sub) -> None:
         "--queue-limit", type=int, default=64,
         help="admission queue bound; a full queue returns 429 + "
         "Retry-After (default 64)",
-    )
-    p_serve.add_argument(
-        "--batch-window-ms", type=float, default=5.0,
-        help="micro-batch collection window in milliseconds (default 5)",
-    )
-    p_serve.add_argument(
-        "--max-batch", type=int, default=8,
-        help="max requests per dispatched batch (default 8)",
     )
     p_serve.add_argument(
         "--deadline", type=float, default=30.0,

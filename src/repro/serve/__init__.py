@@ -3,14 +3,14 @@
 The production framing of the ROADMAP's north star: a long-running
 asyncio HTTP/JSON service (:mod:`repro.serve.service`) exposing the
 registry — solve-and-check a cell, Monte-Carlo-estimate a success rate,
-play an adversary budget point — behind a micro-batching scheduler
-(:mod:`repro.serve.scheduler`) that shares one oracle-caching execution
-backend, serves repeats bitwise-identically from the PR 9 result store,
+play an adversary budget point — behind a scheduler
+(:mod:`repro.serve.scheduler`) that answers repeats bitwise-identically
+from the result store on the event loop, runs every other job on one
+worker thread that owns one shared oracle-caching execution backend,
 and rejects overload with explicit backpressure.  The deterministic
 load generator (:mod:`repro.serve.load`) turns "heavy traffic" into a
-CI-gated number: p50/p95/p99 latency, requests/sec, batch-size
-histogram, and store hit rate in the bench artifact's ``serving``
-section.
+CI-gated number: p50/p95/p99 latency, requests/sec and store hit rate
+in the bench artifact's ``serving`` section.
 """
 
 from repro.serve.http import (

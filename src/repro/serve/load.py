@@ -266,7 +266,6 @@ class LoadReport:
     repeat_identical: bool
     repeat_mismatches: int
     repeat_executions: int
-    batch_histogram: Dict[str, int]
     failures: List[str]
 
     @property
@@ -280,7 +279,6 @@ class LoadReport:
             "repeat_identical": self.repeat_identical,
             "repeat_mismatches": self.repeat_mismatches,
             "repeat_executions": self.repeat_executions,
-            "batch_histogram": self.batch_histogram,
             "ok": self.ok,
             "failures": list(self.failures),
         }
@@ -488,7 +486,6 @@ async def _run_load(config: LoadConfig) -> LoadReport:
     repeat_order = list(mix)
     shuffle_rng.shuffle(repeat_order)
 
-    before = await _fetch_stats(config)
     cold, cold_samples = await _run_phase(config, "cold", cold_order)
     mid = await _fetch_stats(config)
     repeat, repeat_samples = await _run_phase(config, "repeat", repeat_order)
@@ -517,7 +514,6 @@ async def _run_load(config: LoadConfig) -> LoadReport:
         probes["deadline"] = await _probe_deadlines(config, probe_rng)
     if config.burst_probes > 0:
         probes["burst"] = await _probe_burst(config, probe_rng)
-    final = await _fetch_stats(config)
 
     failures: List[str] = []
     for phase in (cold, repeat):
@@ -572,15 +568,12 @@ async def _run_load(config: LoadConfig) -> LoadReport:
             f"the {config.min_rps} req/s floor"
         )
 
-    histogram = final.get("batches", {}).get("histogram", {})
-    _ = before  # cold-phase deltas are derivable from mid - before
     return LoadReport(
         phases=[cold, repeat],
         probes=probes,
         repeat_identical=mismatches == 0,
         repeat_mismatches=mismatches,
         repeat_executions=repeat_executions,
-        batch_histogram=dict(histogram),
         failures=failures,
     )
 

@@ -1,29 +1,31 @@
-"""The micro-batching scheduler behind every compute endpoint.
+"""The scheduler behind every compute endpoint.
 
-Requests admitted by the service land on one bounded asyncio queue; a
-single scheduler task drains it in *micro-batches* (it waits up to
-``batch_window`` seconds for up to ``max_batch`` requests, then
-dispatches whatever arrived) and runs each batch on one dedicated worker
-thread that owns the shared oracle-caching execution backend.  Batching
-is an amortization, never a semantic: every job's payload is a pure
-function of its resolved request descriptor (DESIGN.md §13.4), so the
-batch composition and the arrival order are unobservable in the
-responses — a property the conformance suite pins with hypothesis.
-
-Three layers sit in front of execution, checked in this order:
+A submitted job passes three checks on the event loop, in this order:
 
 1. **single-flight** — a request whose key is already being computed
    joins the in-flight future instead of enqueueing a duplicate;
-2. **store read-through** — a key with a recorded response in the
-   :class:`~repro.corpus.results.ResultStore` is served the stored
-   bytes, bitwise identical to the first execution, zero new work;
+2. **store read** — a key with a recorded response in the
+   :class:`~repro.corpus.results.ResultStore` is answered at once, on
+   the loop, with the stored bytes: bitwise identical to the first
+   execution, zero new work, and never queued behind a running job;
 3. **admission control** — a full queue rejects *before* admission
    (:class:`Backpressure` → 429 upstream); an admitted job is never
    dropped, it only ever completes or fails with its own error.
 
+Admitted jobs wait on one bounded asyncio queue.  A single scheduler
+task hands each one, as soon as the previous one is done, to one
+dedicated worker thread that owns the shared oracle-caching execution
+backend.  Every job's payload is a pure function of its resolved
+request descriptor (DESIGN.md §13.4), so the arrival order is
+unobservable in the responses — a property the conformance suite pins
+with hypothesis.
+
 The store write is *behind* the response: the worker resolves the
 waiting future first and persists the body afterwards, so a cold-cache
-burst pays no sqlite latency on the response path.
+burst pays no sqlite latency on the response path.  A repeat that
+arrives in between misses the loop-side read, so the worker reads the
+store again before it executes a job; the worker is serial, so that
+read comes after the previous job's persist.
 """
 
 from __future__ import annotations
@@ -87,8 +89,8 @@ class ServeStats:
     rejected: int = 0
     deadline_timeouts: int = 0
     faults_recovered: int = 0
-    batch_sizes: Counter = field(default_factory=Counter)
     queue_wait_total: float = 0.0
+    queue_wait_jobs: int = 0
 
     def bump(self, name: str, amount: int = 1) -> None:
         with self._lock:
@@ -98,12 +100,14 @@ class ServeStats:
         with self._lock:
             getattr(self, counter)[key] += 1
 
+    def waited(self, seconds: float) -> None:
+        """One admitted job left the queue after ``seconds``."""
+        with self._lock:
+            self.queue_wait_total += seconds
+            self.queue_wait_jobs += 1
+
     def snapshot(self, queue_depth: int, queue_limit: int) -> Dict[str, object]:
         with self._lock:
-            batches = sum(self.batch_sizes.values())
-            jobs = sum(
-                size * count for size, count in self.batch_sizes.items()
-            )
             return {
                 "uptime": monotonic() - self.started_at,
                 "requests": dict(self.requests),
@@ -112,16 +116,6 @@ class ServeStats:
                     "depth": queue_depth,
                     "limit": queue_limit,
                     "rejected": self.rejected,
-                },
-                "batches": {
-                    "count": batches,
-                    "jobs": jobs,
-                    "histogram": {
-                        str(size): count
-                        for size, count in sorted(self.batch_sizes.items())
-                    },
-                    "max": max(self.batch_sizes, default=0),
-                    "mean": jobs / batches if batches else None,
                 },
                 "store": {
                     "hits": self.store_hits,
@@ -137,18 +131,17 @@ class ServeStats:
                 "deadline_timeouts": self.deadline_timeouts,
                 "faults_recovered": self.faults_recovered,
                 "queue_wait_total": self.queue_wait_total,
+                "queue_wait_jobs": self.queue_wait_jobs,
             }
 
 
 class BatchScheduler:
-    """Coalesce admitted jobs into micro-batches on one worker thread.
+    """Run admitted jobs one at a time on one worker thread.
 
     One worker on purpose: the shared oracle-caching backend is not
-    thread-safe, and a single compute lane keeps batch composition (and
-    therefore the ``/stats`` histogram) deterministic under a
-    deterministic load.  Parallelism belongs *inside* a job — a
-    ``process:N`` backend fans a single solve's nodes out across worker
-    processes — not across jobs.
+    thread-safe.  Parallelism belongs *inside* a job — a ``process:N``
+    backend fans a single solve's nodes out across worker processes —
+    not across jobs.
     """
 
     def __init__(
@@ -157,21 +150,13 @@ class BatchScheduler:
         backend,
         store=None,
         queue_limit: int = 64,
-        batch_window: float = 0.005,
-        max_batch: int = 8,
         stats: Optional[ServeStats] = None,
     ) -> None:
         if queue_limit < 1:
             raise ValueError("queue_limit must be >= 1")
-        if max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
-        if batch_window < 0:
-            raise ValueError("batch_window must be >= 0")
         self.backend = backend
         self.store = store
         self.queue_limit = queue_limit
-        self.batch_window = batch_window
-        self.max_batch = max_batch
         self.stats = stats if stats is not None else ServeStats()
         self._queue: "asyncio.Queue[_Job]" = asyncio.Queue(
             maxsize=queue_limit
@@ -227,7 +212,9 @@ class BatchScheduler:
         (nothing was admitted, nothing will run) and
         :class:`SchedulerClosed` after shutdown began.  An identical
         in-flight key returns the *same* underlying future wrapped so
-        every waiter sees ``coalesced=True`` except the original.
+        every waiter sees ``coalesced=True`` except the original.  A
+        stored key returns an already-settled future; so does a store
+        read that raised, settled with its error.
         """
         if self._closed:
             raise SchedulerClosed("service is shutting down")
@@ -237,6 +224,17 @@ class BatchScheduler:
             return self._piggyback(existing)
         assert self._loop is not None, "scheduler not started"
         future: "asyncio.Future[JobResult]" = self._loop.create_future()
+        if self.store is not None:
+            try:
+                stored = self.store.get_response(key)
+            except Exception as exc:
+                # Settled, not raised: the caller maps it like a job's.
+                future.set_exception(exc)
+                return future
+            if stored is not None:
+                self.stats.bump("store_hits")
+                future.set_result(JobResult(body=stored, from_store=True))
+                return future
         job = _Job(
             key=key,
             fn=fn,
@@ -287,61 +285,41 @@ class BatchScheduler:
         return waiter
 
     # ------------------------------------------------------------------
-    # the batch loop
+    # the worker lane
     # ------------------------------------------------------------------
     async def _run(self) -> None:
         assert self._loop is not None
         while True:
             job = await self._queue.get()
-            batch = [job]
-            deadline = monotonic() + self.batch_window
-            while len(batch) < self.max_batch:
-                remaining = deadline - monotonic()
-                if remaining <= 0:
-                    break
-                try:
-                    batch.append(
-                        await asyncio.wait_for(self._queue.get(), remaining)
-                    )
-                except asyncio.TimeoutError:
-                    break
-            self.stats.count("batch_sizes", len(batch))
-            waited = sum(
-                perf_counter() - j.admitted_at for j in batch
-            )
-            with self.stats._lock:
-                self.stats.queue_wait_total += waited
-            await self._loop.run_in_executor(
-                self._executor, self._run_batch, batch
-            )
+            self.stats.waited(perf_counter() - job.admitted_at)
+            await self._loop.run_in_executor(self._executor, self._work, job)
 
-    def _run_batch(self, batch) -> None:
-        """Worker thread: settle every job in the batch, no exceptions out."""
+    def _work(self, job: _Job) -> None:
+        """Worker thread: settle one job, no exceptions out."""
         assert self._loop is not None
-        for job in batch:
+        try:
+            result = self._run_job(job)
+        except BaseException as exc:  # noqa: BLE001 - settled, not lost
+            self._loop.call_soon_threadsafe(
+                self._settle_error, job.future, exc
+            )
+            return
+        self._loop.call_soon_threadsafe(self._settle, job.future, result)
+        if not result.from_store and self.store is not None:
+            # Write-behind: the response future is already settling on
+            # the loop; the persist happens after.
             try:
-                result = self._run_job(job)
-            except BaseException as exc:  # noqa: BLE001 - settled, not lost
-                self._loop.call_soon_threadsafe(
-                    self._settle_error, job.future, exc
+                self.store.record_response(
+                    job.key, result.body, endpoint=job.endpoint
                 )
-            else:
-                self._loop.call_soon_threadsafe(
-                    self._settle, job.future, result
-                )
-                if not result.from_store and self.store is not None:
-                    # Write-behind: the response future is already
-                    # settling on the loop; the persist happens after.
-                    try:
-                        self.store.record_response(
-                            job.key, result.body, endpoint=job.endpoint
-                        )
-                    except Exception:
-                        # A failed persist degrades the cache, never
-                        # the response that already settled.
-                        pass
+            except Exception:
+                # A failed persist degrades the cache, never the
+                # response that already settled.
+                pass
 
     def _run_job(self, job: _Job) -> JobResult:
+        # The loop read this key before admission; this second read
+        # catches a body persisted since, in the write-behind window.
         if self.store is not None:
             stored = self.store.get_response(job.key)
             if stored is not None:

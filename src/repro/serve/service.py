@@ -11,10 +11,11 @@
 Request handling is split across two lanes.  The event loop does only
 cheap work: parse, resolve the request against the registry (filling
 every default — seed, param, policy — so the *resolved descriptor* is
-complete), hash the descriptor into the request key, and admit the job.
-All computation happens on the scheduler's worker thread
+complete), hash the descriptor into the request key, answer a stored
+key from the response store, and admit the job otherwise.  All
+computation happens on the scheduler's worker thread
 (:mod:`repro.serve.scheduler`), which owns the shared oracle-caching
-backend and checks the response store first.
+backend.
 
 Response bodies are pure functions of the resolved descriptor: no
 timestamps, no durations, no server identity.  Per-request provenance
@@ -72,8 +73,6 @@ class ServeConfig:
     backend: str = "batch"
     store: Optional[str] = None
     queue_limit: int = 64
-    batch_window: float = 0.005
-    max_batch: int = 8
     default_deadline: float = 30.0
     max_deadline: float = 300.0
     retry_after: float = 1.0
@@ -164,8 +163,6 @@ class ReproService:
             backend=get_backend(self.config.backend),
             store=self.store,
             queue_limit=self.config.queue_limit,
-            batch_window=self.config.batch_window,
-            max_batch=self.config.max_batch,
             stats=self.stats,
         )
         self._server: Optional[asyncio.AbstractServer] = None
@@ -289,11 +286,16 @@ class ReproService:
             return error_response(str(exc), 503)
         started = perf_counter()
         try:
-            # Shielded: on deadline expiry the job still finishes on the
+            # A store hit is settled already.  Otherwise the wait is
+            # shielded: on deadline expiry the job still finishes on the
             # worker (coalesced peers and the store write survive); only
             # this response gives up.
-            result = await asyncio.wait_for(
-                asyncio.shield(future), timeout=deadline
+            result = (
+                future.result()
+                if future.done()
+                else await asyncio.wait_for(
+                    asyncio.shield(future), timeout=deadline
+                )
             )
         except asyncio.TimeoutError:
             self.stats.bump("deadline_timeouts")
@@ -592,7 +594,6 @@ async def _serve_forever(config: ServeConfig, printer=print) -> None:
         printer(
             f"repro serve: listening on http://{host}:{port} "
             f"(backend={config.backend}, queue={config.queue_limit}, "
-            f"batch={config.max_batch}@{config.batch_window * 1000:g}ms, "
             f"store={config.store or '-'})"
         )
     try:

@@ -149,5 +149,17 @@ class TestCli:
         assert len(records) == 1
         assert records[0]["bits_fit"] == "n"
 
+    def test_sweep_progress_goes_to_stderr_keeping_json_parseable(
+        self, capsys
+    ):
+        assert main([
+            "adversary", "sweep", "prop49/balanced-tree", "--progress",
+            "--json",
+        ]) == 0
+        captured = capsys.readouterr()
+        records = json.loads(captured.out)  # stdout is pure JSON
+        assert len(records) == 1
+        assert "prop49/balanced-tree budget=" in captured.err
+
     def test_sweep_unknown_name_exits_two(self, capsys):
         assert main(["adversary", "sweep", "nope"]) == 2

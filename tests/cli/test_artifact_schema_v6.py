@@ -146,7 +146,16 @@ class TestGoldenArtifact:
         probes = serving["probes"]
         assert probes["deadline"]["other"] == 0
         assert probes["burst"]["other"] == 0
-        assert serving["batch_histogram"]
+
+    def test_serving_record_with_a_batch_histogram_still_validates(
+        self, schema, golden
+    ):
+        # Artifacts written while the service micro-batched carry a
+        # ``batch_histogram``; the record allows extra keys, so they
+        # stay valid v6 artifacts.
+        older = json.loads(json.dumps(golden))
+        older["serving"]["batch_histogram"] = {"1": 24}
+        jsonschema.validate(older, schema)
 
     def test_serving_summary_matches_section(self, golden):
         serving = golden["serving"]

@@ -165,6 +165,16 @@ class TestSweep:
         assert payload[0]["claimed"] == "log* n"
         assert payload[0]["ns"] == [8, 16, 32]
 
+    def test_progress_goes_to_stderr_keeping_json_parseable(self, capsys):
+        assert main([
+            "sweep", "--family", "cycle", "--algorithm",
+            "cycle/cole-vishkin", "--progress", "--json",
+        ]) == 0
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)  # stdout is pure JSON
+        assert payload[0]["ns"] == [8, 16, 32]
+        assert "3/3: n=32" in captured.err
+
     def test_unknown_suite_exits_two(self, capsys):
         assert main(["sweep", "table1/nope"]) == 2
         assert "unknown suite" in capsys.readouterr().err

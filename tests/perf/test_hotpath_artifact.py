@@ -1,10 +1,9 @@
-"""The committed hot-path artifact and its schema reader shims.
+"""The committed hot-path artifact and its schema reader.
 
-``bench_hotpath.json`` at the repo root is a schema-v3 artifact; older
-checkouts committed schema v1 (PR 3-5, no parallel sections) or v2
-(PR 6-7, no ``fault_recovery`` section).  ``load_hotpath_artifact``
-must read all three shapes uniformly so CI scripts and notebooks never
-branch on the version themselves.
+``bench_hotpath.json`` at the repo root is a schema-v3 artifact, and
+``load_hotpath_artifact`` reads v3 only: it refuses a foreign schema
+and every other version, the v1 and v2 shapes of older checkouts
+included.
 """
 
 import sys
@@ -20,19 +19,6 @@ from bench_hotpath import (  # noqa: E402 - path shim above
     SCHEMA_VERSION,
     load_hotpath_artifact,
 )
-
-
-def _v1_payload():
-    return {
-        "schema": SCHEMA_NAME,
-        "schema_version": 1,
-        "benches": [{"name": "oracle_queries", "speedup": 20.0}],
-        "gate": {
-            "query_throughput_speedup": 20.0,
-            "query_throughput_ok": True,
-            "full_gather_speedups": {"full_gather[line-512]": 3.0},
-        },
-    }
 
 
 class TestCommittedArtifact:
@@ -66,41 +52,7 @@ class TestCommittedArtifact:
 
 
 class TestV1Shim:
-    def test_v1_is_upgraded_in_memory(self):
-        artifact = load_hotpath_artifact(_v1_payload())
-        assert artifact["schema_version"] == SCHEMA_VERSION
-        assert artifact["upgraded_from"] == 1
-        assert artifact["parallel_scaling"] == []
-        assert artifact["trial_batch"] == []
-        gate = artifact["gate"]
-        assert gate["parallel_speedup_2w_shm"] is None
-        assert gate["parallel_ok"] is True
-        assert gate["shm_leak_free"] is True
-        assert artifact["fault_recovery"] is None
-        assert gate["supervision_overhead"] is None
-        assert gate["supervision_ok"] is True
-        # v1 content is preserved verbatim.
-        assert gate["query_throughput_speedup"] == 20.0
-        assert artifact["benches"][0]["name"] == "oracle_queries"
-
-    def test_v2_is_upgraded_in_memory(self):
-        payload = {
-            "schema": SCHEMA_NAME,
-            "schema_version": 2,
-            "parallel_scaling": [{"workers": 2}],
-            "trial_batch": [{"backend": "serial"}],
-            "gate": {"parallel_ok": True, "shm_leak_free": True},
-        }
-        artifact = load_hotpath_artifact(payload)
-        assert artifact["schema_version"] == SCHEMA_VERSION
-        assert artifact["upgraded_from"] == 2
-        assert artifact["fault_recovery"] is None
-        gate = artifact["gate"]
-        assert gate["supervision_ok"] is True
-        assert gate["fault_recovery_ok"] is True
-        # v2 content is preserved verbatim.
-        assert artifact["parallel_scaling"] == [{"workers": 2}]
-        assert gate["parallel_ok"] is True
+    """The reader's checks, which now refuse v1 and v2 artifacts."""
 
     def test_current_version_passes_through_unchanged(self):
         payload = {
@@ -115,6 +67,7 @@ class TestV1Shim:
             load_hotpath_artifact({"schema": "something-else"})
 
     def test_unknown_version_rejected(self):
-        with pytest.raises(ValueError, match="schema_version"):
-            load_hotpath_artifact({"schema": SCHEMA_NAME,
-                                   "schema_version": 99})
+        for version in (1, 2, 99):
+            with pytest.raises(ValueError, match="schema_version"):
+                load_hotpath_artifact({"schema": SCHEMA_NAME,
+                                       "schema_version": version})

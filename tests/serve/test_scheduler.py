@@ -1,8 +1,12 @@
-"""The micro-batching scheduler: batching, single-flight, store, 429."""
+"""The scheduler: one worker, single-flight, store reads on the loop, 429."""
 
 import asyncio
 import json
+import random
+import sys
+import threading
 import time
+from collections import Counter
 
 import pytest
 
@@ -60,6 +64,7 @@ class TestExecution:
         stats = run(scenario)
         assert stats.jobs_executed == 2
         assert stats.executions == 10
+        assert stats.queue_wait_jobs == 2
 
     def test_fn_error_settles_the_future_and_the_lane_survives(self):
         async def scenario(scheduler):
@@ -77,39 +82,6 @@ class TestExecution:
         backend = DummyBackend()
         with pytest.raises(ValueError, match="queue_limit"):
             BatchScheduler(backend=backend, queue_limit=0)
-        with pytest.raises(ValueError, match="max_batch"):
-            BatchScheduler(backend=backend, max_batch=0)
-        with pytest.raises(ValueError, match="batch_window"):
-            BatchScheduler(backend=backend, batch_window=-1)
-
-
-class TestBatching:
-    def test_synchronous_burst_lands_in_one_batch(self):
-        # All four submits happen before the loop yields, so the
-        # scheduler task finds them queued together and must take the
-        # whole burst as one batch.
-        async def scenario(scheduler):
-            futures = [
-                scheduler.submit(f"k{i}", "/solve", job({"i": i}))
-                for i in range(4)
-            ]
-            await asyncio.gather(*futures)
-            return scheduler.stats.batch_sizes
-
-        assert dict(run(scenario, batch_window=0.05, max_batch=8)) == {4: 1}
-
-    def test_max_batch_caps_batch_size(self):
-        async def scenario(scheduler):
-            futures = [
-                scheduler.submit(f"k{i}", "/solve", job({"i": i}))
-                for i in range(5)
-            ]
-            await asyncio.gather(*futures)
-            return scheduler.stats.batch_sizes
-
-        sizes = run(scenario, batch_window=0.05, max_batch=2)
-        assert max(sizes) <= 2
-        assert sum(size * count for size, count in sizes.items()) == 5
 
 
 class TestSingleFlight:
@@ -196,6 +168,155 @@ class TestStore:
         assert json.loads(result.body) == {"v": 1}
 
 
+class TestStoreOnTheLoop:
+    def test_stored_key_resolves_before_the_running_job(
+        self, tmp_result_store
+    ):
+        # The stored key is answered on the loop, so it never queues
+        # behind the job the worker is running.
+        stored = b'{"v":0}\n'
+        tmp_result_store.record_response("stored", stored, endpoint="/solve")
+        order = []
+
+        def slow():
+            time.sleep(0.3)
+            return {"v": 1}, 1
+
+        async def scenario(scheduler):
+            running = scheduler.submit("slow", "/solve", slow)
+            await asyncio.sleep(0.05)  # the worker is now busy on "slow"
+            hit = scheduler.submit("stored", "/solve", job({"v": 2}))
+            for name, future in (("slow", running), ("stored", hit)):
+                future.add_done_callback(lambda _f, n=name: order.append(n))
+            return await asyncio.gather(running, hit)
+
+        _, hit = run(scenario, store=tmp_result_store)
+        assert order == ["stored", "slow"]
+        assert hit.from_store is True
+        assert hit.body == stored
+
+    def test_repeat_in_the_write_behind_window_is_served_by_the_worker(
+        self, tmp_result_store
+    ):
+        # Hold the persist open: the first response settles, a repeat
+        # misses the loop-side read and is admitted, and the worker's
+        # own read, which follows the persist, must answer it.
+        gate = threading.Event()
+        record = tmp_result_store.record_response
+
+        def held_record(*args, **kwargs):
+            gate.wait(timeout=30)
+            record(*args, **kwargs)
+
+        tmp_result_store.record_response = held_record
+        calls = []
+
+        def fn():
+            calls.append(1)
+            return {"v": len(calls)}, 1
+
+        async def scenario(scheduler):
+            try:
+                first = await scheduler.submit("key", "/solve", fn)
+                repeat = scheduler.submit("key", "/solve", fn)
+                missed_loop_read = not repeat.done()
+            finally:
+                gate.set()
+            return first, await repeat, missed_loop_read
+
+        first, repeat, missed_loop_read = run(
+            scenario, store=tmp_result_store
+        )
+        assert missed_loop_read
+        assert len(calls) == 1
+        assert repeat.from_store is True
+        assert repeat.coalesced is False
+        assert repeat.body == first.body
+
+    def test_store_read_error_settles_the_future(self, tmp_result_store):
+        def broken_read(key):
+            raise RuntimeError("store unreadable")
+
+        tmp_result_store.get_response = broken_read
+
+        async def scenario(scheduler):
+            future = scheduler.submit("key", "/solve", job({"v": 1}))
+            with pytest.raises(RuntimeError, match="store unreadable"):
+                await future
+            return scheduler.stats.jobs_executed
+
+        assert run(scenario, store=tmp_result_store) == 0
+
+    def test_interleaved_stored_fresh_and_repeat_keys(
+        self, tmp_result_store
+    ):
+        # Concurrent clients with thread switches every microsecond
+        # interleave the loop's store reads, single-flight and the
+        # worker's settle-then-persist in as many orders as a short run
+        # reaches, and a slow disk lets some repeats land in the
+        # write-behind window.  Every fresh key must execute once, and
+        # every answer must carry its key's first body.
+        stored = {f"s{i}": canonical_json({"stored": i}) for i in range(8)}
+        for key, body in stored.items():
+            tmp_result_store.record_response(key, body, endpoint="/solve")
+        record = tmp_result_store.record_response
+        pauses = random.Random(6)
+
+        def slow_record(*args, **kwargs):
+            time.sleep(pauses.choice((0, 0.0005, 0.002)))
+            record(*args, **kwargs)
+
+        tmp_result_store.record_response = slow_record
+        fresh = [f"f{i}" for i in range(24)]
+        calls = Counter()
+
+        def make(key):
+            def fn():
+                calls[key] += 1
+                return {"key": key}, 1
+
+            return fn
+
+        rng = random.Random(5)
+        orders = []
+        for _ in range(4):
+            order = [k for k in list(stored) + fresh for _ in range(2)]
+            rng.shuffle(order)
+            orders.append(order)
+
+        async def scenario(scheduler):
+            async def client(order):
+                answers = []
+                for key in order:
+                    result = await scheduler.submit(key, "/solve", make(key))
+                    answers.append((key, result.body))
+                return answers
+
+            answers = await asyncio.wait_for(
+                asyncio.gather(*(client(order) for order in orders)),
+                timeout=60,
+            )
+            return [pair for c in answers for pair in c], scheduler.stats
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            answers, stats = run(scenario, store=tmp_result_store)
+        finally:
+            sys.setswitchinterval(previous)
+        assert len(answers) == sum(map(len, orders))
+        first = dict(stored)
+        for key, body in answers:
+            assert body == first.setdefault(key, body), key
+        assert calls == Counter(fresh)
+        # Each submit is counted once: coalesced, a store hit (on the
+        # loop or the worker), or a miss that executed.
+        assert stats.store_misses == stats.jobs_executed == len(fresh)
+        assert stats.store_hits + stats.store_misses + stats.coalesced == (
+            len(answers)
+        )
+
+
 class TestAdmission:
     def test_full_queue_rejects_before_admission(self):
         def slow():
@@ -211,9 +332,7 @@ class TestAdmission:
             results = await asyncio.gather(first, second)
             return results, scheduler.stats.rejected
 
-        results, rejected = run(
-            scenario, queue_limit=1, max_batch=1, batch_window=0.0
-        )
+        results, rejected = run(scenario, queue_limit=1)
         # The rejection dropped nothing that was admitted.
         assert [json.loads(r.body) for r in results] == [{"v": 1}, {"v": 2}]
         assert rejected == 1
@@ -226,10 +345,7 @@ class TestAdmission:
             return {"v": 1}, 1
 
         async def go():
-            scheduler = BatchScheduler(
-                backend=backend, queue_limit=4, max_batch=1,
-                batch_window=0.0,
-            )
+            scheduler = BatchScheduler(backend=backend, queue_limit=4)
             scheduler.start()
             running = scheduler.submit("k1", "/solve", slow)
             await asyncio.sleep(0.05)

@@ -17,6 +17,17 @@ from repro.serve.service import ServeConfig, ServerThread
 from _client import Client
 
 SOLVE = {"algorithm": "cycle/2-coloring", "family": "cycle", "param": "8"}
+# A fixed 250-trial Monte-Carlo job: tens of milliseconds of work, so it
+# is still running when a short deadline expires.
+SLOW_MC = {
+    **SOLVE,
+    "policy": {
+        "quick": False, "min_trials": 250, "max_trials": 250,
+        "early_stop": False,
+    },
+}
+# A solve-and-check that also takes tens of milliseconds.
+SLOW_SOLVE = {**SOLVE, "param": "128"}
 
 
 def fresh(payload, seed):
@@ -49,8 +60,9 @@ class TestGetEndpoints:
         status, _, body = server.get("/stats")
         assert status == 200
         stats = json.loads(body)
-        assert {"requests", "responses", "queue", "batches", "store",
-                "executions", "coalesced"} <= set(stats)
+        assert {"requests", "responses", "queue", "store", "executions",
+                "coalesced", "queue_wait_total",
+                "queue_wait_jobs"} <= set(stats)
         assert stats["queue"]["limit"] == 64
 
 
@@ -176,14 +188,14 @@ class TestSolveResponses:
 class TestDeadlines:
     def test_microscopic_deadline_times_out_cleanly(self, server):
         status, headers, body = server.post(
-            "/solve", fresh(SOLVE, seed=990001) | {"deadline": 1e-4}
+            "/mc", fresh(SLOW_MC, seed=990001) | {"deadline": 1e-4}
         )
         assert status == 504
         assert "deadline" in json.loads(body)["error"]
         assert len(headers["x-repro-key"]) == 16
 
     def test_pool_is_healthy_after_a_timeout(self, server):
-        server.post("/solve", fresh(SOLVE, seed=990002) | {"deadline": 1e-4})
+        server.post("/mc", fresh(SLOW_MC, seed=990002) | {"deadline": 1e-4})
         assert server.get("/healthz")[0] == 200
         status, _, payload = server.post_json(
             "/solve", fresh(SOLVE, seed=990003)
@@ -223,22 +235,13 @@ class TestCoalescing:
 
 class TestBackpressure:
     def test_saturation_rejects_without_dropping_admitted(self, tmp_path):
-        config = ServeConfig(
-            port=0, queue_limit=1, max_batch=1, batch_window=0.0
-        )
-        slow = {
-            **SOLVE,
-            "policy": {
-                "quick": False, "min_trials": 250, "max_trials": 250,
-                "early_stop": False,
-            },
-        }
+        config = ServeConfig(port=0, queue_limit=1)
         with ServerThread(config) as thread:
             client = Client(thread.address)
             with ThreadPoolExecutor(max_workers=8) as pool:
                 futures = [
                     pool.submit(
-                        client.post, "/mc", {**slow, "seed": 990100 + i}
+                        client.post, "/mc", {**SLOW_MC, "seed": 990100 + i}
                     )
                     for i in range(8)
                 ]
@@ -291,7 +294,7 @@ class TestStoreBacked:
         # The 504 abandons the response, not the computation: the job
         # finishes on the worker and its body is persisted, so the
         # retry is a pure store hit.
-        payload = fresh(SOLVE, seed=990200)
+        payload = fresh(SLOW_SOLVE, seed=990200)
         status, headers, _ = stored_server.post(
             "/solve", payload | {"deadline": 1e-4}
         )
@@ -310,3 +313,27 @@ class TestStoreBacked:
             time.sleep(0.02)
         assert retry_headers["x-repro-store"] == "hit"
         assert json.loads(body)["valid"] is True
+
+    def test_store_read_error_is_a_500_and_the_server_survives(
+        self, tmp_path
+    ):
+        config = ServeConfig(port=0, store=str(tmp_path / "serve.sqlite"))
+        with ServerThread(config) as thread:
+            client = Client(thread.address)
+            store = thread.service.store
+            read = store.get_response
+
+            def broken_once(key):
+                del store.get_response  # the next read works again
+                raise RuntimeError("store unreadable")
+
+            store.get_response = broken_once
+            status, _, body = client.post("/solve", SOLVE)
+            assert status == 500
+            assert json.loads(body)["error"] == (
+                "RuntimeError: store unreadable"
+            )
+            assert store.get_response == read
+            status, headers, payload = client.post_json("/solve", SOLVE)
+            assert status == 200 and payload["valid"] is True
+            assert headers["x-repro-store"] == "miss"
