@@ -9,7 +9,7 @@ Table 1 is realized this way.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Set
+from typing import Callable, Dict, Set, Tuple
 
 from repro.graphs.labelings import Instance, Labeling
 from repro.graphs.port_graph import PortGraph
@@ -99,29 +99,38 @@ class FullGatherAlgorithm(ProbeAlgorithm):
         entry from that one output dict.  This is exact because every
         full-gather reference answers each node the same whatever order
         the reconstructed instance's nodes were inserted in (DESIGN.md
-        §9.3).  Their cost profile comes from
-        :meth:`~repro.model.batched.CsrGatherKernel.summarize`, which
-        measures the same gather without building a ball.
+        §9.3).  Their gathers have the first one's volume and queries, and
+        their distance is their eccentricity: one
+        :meth:`~repro.model.batched.CsrGatherKernel.eccentricities` call
+        per component, made when its second start node comes up, so a
+        batch holding one start node of a component pays for no more
+        than its gather.
         """
         kernel = gather_kernel(oracle)
         if kernel is None:
             return None
         radius = max(1, oracle.n)
-        solved: Dict[int, Dict[int, object]] = {}
+        # member -> (outputs, first profile, first start node)
+        solved: Dict[int, Tuple[Dict[int, object], CostProfile, int]] = {}
+        eccentricities: Dict[int, Dict[int, int]] = {}
         triples = []
         for node in nodes:
-            outputs = solved.get(node)
-            if outputs is None:
+            entry = solved.get(node)
+            if entry is None:
                 ball, profile = kernel.ball(node, radius)
                 outputs = self._reference(ball_to_instance(ball, oracle.n))
+                entry = (outputs, profile, node)
                 for member in ball.info:
-                    solved[member] = outputs
+                    solved[member] = entry
             else:
-                volume, distance, queries = kernel.summarize(node, radius)
+                outputs, first, root = entry
+                ecc = eccentricities.get(root)
+                if ecc is None:
+                    ecc = eccentricities[root] = kernel.eccentricities(root)
                 profile = CostProfile(
-                    volume=volume,
-                    distance=distance,
-                    queries=queries,
+                    volume=first.volume,
+                    distance=ecc[node],
+                    queries=first.queries,
                     random_bits=0,
                 )
             triples.append((node, outputs[node], profile))

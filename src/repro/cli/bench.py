@@ -291,35 +291,6 @@ def run_lower_bounds(
     return sweep_records(_select_adversaries(only), grid, progress=progress)
 
 
-def _replay_backend(outcomes):
-    """A backend serving recorded :class:`TrialOutcome`\\ s, not executing.
-
-    A trial's outcome is a pure function of ``(base_seed, trial)`` (see
-    DESIGN.md §8.2), so driving the adaptive policy's batching/stopping
-    logic over the fixed run's recorded outcomes yields the *identical*
-    adaptive record at zero extra solve-and-check cost — the real
-    dispatch path is pinned separately by the conformance suite under
-    ``tests/montecarlo``.
-    """
-    from repro.exec.backends import ExecutionBackend
-
-    class _ReplayBackend(ExecutionBackend):
-        name = "replay"
-
-        def __init__(self, recorded) -> None:
-            self._by_trial = {o.trial: o for o in recorded}
-
-        def run(self, *args, **kwargs):  # pragma: no cover - not used
-            raise NotImplementedError("replay backend only serves trials")
-
-        def run_trial_batch(
-            self, problem, factory, algorithm, trial_indices, **kwargs
-        ):
-            return [self._by_trial[t] for t in trial_indices]
-
-    return _ReplayBackend(outcomes)
-
-
 def run_mc_cell(
     cell: MatrixCell,
     grid: str,
@@ -329,14 +300,13 @@ def run_mc_cell(
     """Fixed-count vs adaptive Monte-Carlo estimation of one cell.
 
     Both estimates stream trials over the cell's *smallest* grid-point
-    instance under the same base seed.  For *randomized* cells the
-    adaptive run executes live, so ``prefix_consistent`` genuinely
-    gates the engine's only-truncates determinism contract on the real
-    dispatch path.  A deterministic algorithm never reads a tape, so
-    its 32 fixed trials are identical by construction; re-executing a
-    prefix of them would verify nothing — those cells derive the
-    adaptive record by replaying the fixed run's recorded outcomes
-    (``adaptive_mode: "replayed"``) and save the redundant work.
+    instance under the same base seed, and both execute on the real
+    dispatch path, so ``prefix_consistent`` gates the engine's
+    only-truncates determinism contract on every cell.  A trial batch
+    that reads no random bit executes once (DESIGN.md §8.2), so a
+    deterministic cell's adaptive estimate costs one execution per
+    batch.  ``adaptive_mode`` reads ``"live"`` on every record; schema
+    v6 still requires the field.
     """
     from repro.montecarlo.engine import run_trials
 
@@ -353,14 +323,13 @@ def run_mc_cell(
         base_seed=base_seed,
         backend=backend,
     )
-    live = cell.algorithm.randomized
     adaptive = run_trials(
         problem,
         instance,
         cell.algorithm.make(),
         adaptive_policy,
         base_seed=base_seed,
-        backend=backend if live else _replay_backend(fixed.outcomes),
+        backend=backend,
     )
     verdict_fixed = fixed.rate >= MC_VERDICT_THRESHOLD
     verdict_adaptive = adaptive.rate >= MC_VERDICT_THRESHOLD
@@ -376,7 +345,7 @@ def run_mc_cell(
         "seed": base_seed,
         "randomized": cell.algorithm.randomized,
         "threshold": MC_VERDICT_THRESHOLD,
-        "adaptive_mode": "live" if live else "replayed",
+        "adaptive_mode": "live",
         "policy": adaptive_policy.describe(),
         "fixed": fixed.to_payload(),
         "adaptive": adaptive.to_payload(),

@@ -271,8 +271,8 @@ def add_serve_arguments(sub) -> None:
     )
     p_load.add_argument(
         "--deadline-probes", type=int, default=None,
-        help="requests fired with microscopic deadlines, expecting "
-        "clean 504s (default 2)",
+        help="Monte-Carlo jobs fired with microscopic deadlines; each "
+        "must come back 504 (default 2)",
     )
     p_load.add_argument(
         "--burst-probes", type=int, default=None,

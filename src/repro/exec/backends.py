@@ -55,6 +55,11 @@ to the scalar serial semantics, both enforced by the equivalence suites):
   pickle path bit-for-bit; the segment is unlinked in a ``finally`` on
   every dispatch, with an ``atexit`` backstop.
 
+One shortcut sits in the trial loop every backend and pool worker runs:
+a fixed-instance trial that read no random bit has the same outcome
+under every seed, so the rest of its batch reuses it instead of
+executing again (:func:`_trial_outcomes`).
+
 Fault tolerance: :class:`ProcessPoolBackend` dispatches are *supervised*
 by default — per-chunk timeouts, worker-crash detection, and a
 :class:`~repro.faults.retry.RetryPolicy` that re-dispatches only the
@@ -78,7 +83,7 @@ from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.exec import shm as shm_layer
@@ -244,33 +249,46 @@ def _trial_outcomes(
     max_volume: Optional[int],
     max_queries: Optional[int],
 ) -> List[TrialOutcome]:
-    """The shared trial loop: solve-and-check each trial on ``backend``."""
+    """The shared trial loop: solve-and-check each trial on ``backend``.
+
+    On a fixed instance the tape is the only input a seed reaches, and
+    every tape read is counted.  A trial that read no random bit never
+    branched on its tape, so every other seed gives the same outcome:
+    the later trials of such a batch take it with their own ``trial``
+    and ``seed`` instead of executing again (DESIGN.md §8.2).
+    """
     from repro.model.runner import solve_and_check
 
+    fixed = isinstance(instance_factory, FixedInstanceFactory)
+    seed_free: Optional[TrialOutcome] = None
     outcomes: List[TrialOutcome] = []
     for trial in trial_indices:
-        instance = instance_factory(trial)
+        seed = base_seed + trial
+        if seed_free is not None:
+            outcomes.append(replace(seed_free, trial=trial, seed=seed))
+            continue
         report = solve_and_check(
             problem,
-            instance,
+            instance_factory(trial),
             algorithm,
-            seed=base_seed + trial,
+            seed=seed,
             max_volume=max_volume,
             max_queries=max_queries,
             backend=backend,
         )
         run = report.run
-        outcomes.append(
-            TrialOutcome(
-                trial=trial,
-                seed=base_seed + trial,
-                valid=bool(report.valid),
-                max_volume=run.max_volume,
-                max_distance=run.max_distance,
-                max_queries=run.max_queries,
-                random_bits=run.total_random_bits,
-            )
+        outcome = TrialOutcome(
+            trial=trial,
+            seed=seed,
+            valid=bool(report.valid),
+            max_volume=run.max_volume,
+            max_distance=run.max_distance,
+            max_queries=run.max_queries,
+            random_bits=run.total_random_bits,
         )
+        outcomes.append(outcome)
+        if fixed and outcome.random_bits == 0:
+            seed_free = outcome
     return outcomes
 
 

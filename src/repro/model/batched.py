@@ -11,7 +11,7 @@ as flat frontier arrays of dense indices over ``port_offsets`` /
 ``port_endpoints``, with a stamped scratch array replacing the per-start
 visited set.
 
-:class:`CsrGatherKernel` provides two tiers:
+:class:`CsrGatherKernel` provides three tiers:
 
 * :meth:`summarize` — ``(ball size, eccentricity, queries)`` for one
   start, touching nothing but flat ``int`` arrays.  This is what
@@ -24,9 +24,14 @@ visited set.
   :class:`~repro.model.probe.CostProfile` the scalar engine would have
   produced.  Full-gather algorithms rebuild and reference-solve it once
   per component and give the component's other start nodes their entry
-  of that solve, with the profile from :meth:`summarize`; outputs equal
-  the scalar path's because every full-gather reference is independent
-  of node insertion order (DESIGN.md §9.3).
+  of that solve; outputs equal the scalar path's because every
+  full-gather reference is independent of node insertion order
+  (DESIGN.md §9.3).
+* :meth:`eccentricities` — every component member's eccentricity in
+  one call.  A full gather from any member of a component has the same
+  volume and queries, so a later start node's profile takes those from
+  the first ball and only its distance from here: three BFS on a tree
+  component, one depth-only BFS per member on any other.
 
 Correctness argument (DESIGN.md §9.3): ``gather_ball`` is a level-order
 BFS probing each expanded node's *connected* ports in ascending order —
@@ -53,7 +58,7 @@ semantics stay with the scalar engine).
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.model.probe import CostProfile
 from repro.model.views import Ball
@@ -127,6 +132,84 @@ class CsrGatherKernel:
             size += len(nxt)
             depth_max = depth
         return size, depth_max, queries
+
+    def eccentricities(self, start_id: int) -> Dict[int, int]:
+        """Each member of ``start_id``'s component -> its eccentricity.
+
+        A full gather explores the whole component, so a member's profile
+        distance is its eccentricity.  The component is a tree exactly
+        when a full gather's queries are ``2 * (size - 1)``: each edge is
+        probed once from either end and a connected graph on ``size``
+        nodes has at least ``size - 1`` edges.  On a tree, with ``a`` the
+        last node a BFS from the start reaches and ``b`` the last node a
+        BFS from ``a`` reaches, ``(a, b)`` is a diameter and every node's
+        farthest node is ``a`` or ``b``, so ``ecc(v) = max(d(v, a),
+        d(v, b))``.  Any other component runs one depth-only BFS per
+        member over neighbour lists built here (DESIGN.md §9.3).
+        """
+        ids = self._ids
+        depth, queries = self._bfs(self._frozen.dense_index(start_id))
+        size = len(depth)
+        if queries == 2 * (size - 1):
+            from_a, _ = self._bfs(next(reversed(depth)))
+            from_b, _ = self._bfs(next(reversed(from_a)))
+            return {ids[v]: max(d, from_b[v]) for v, d in from_a.items()}
+        offsets = self._offsets
+        endpoints = self._endpoints
+        nbrs = {
+            u: [e for e in endpoints[offsets[u]:offsets[u + 1]] if e >= 0]
+            for u in depth
+        }
+        seen = self._seen
+        stamp = self._stamp
+        ecc: Dict[int, int] = {}
+        for source in depth:
+            stamp += 1
+            seen[source] = stamp
+            frontier = [source]
+            left = size - 1
+            level = 0
+            while left:
+                level += 1
+                nxt: List[int] = []
+                for u in frontier:
+                    for e in nbrs[u]:
+                        if seen[e] != stamp:
+                            seen[e] = stamp
+                            nxt.append(e)
+                left -= len(nxt)
+                frontier = nxt
+            ecc[ids[source]] = level
+        self._stamp = stamp
+        return ecc
+
+    def _bfs(self, source: int) -> Tuple[Dict[int, int], int]:
+        """Dense index -> depth over ``source``'s component, and queries.
+
+        The dict is in discovery order, so its last key is a node
+        farthest from ``source``; queries count every connected port of
+        every member, as a full gather does.
+        """
+        offsets = self._offsets
+        endpoints = self._endpoints
+        depth = {source: 0}
+        frontier = [source]
+        level = 0
+        queries = 0
+        while frontier:
+            level += 1
+            nxt: List[int] = []
+            for u in frontier:
+                for off in range(offsets[u], offsets[u + 1]):
+                    e = endpoints[off]
+                    if e < 0:
+                        continue
+                    queries += 1
+                    if e not in depth:
+                        depth[e] = level
+                        nxt.append(e)
+            frontier = nxt
+        return depth, queries
 
     def ball(self, start_id: int, radius: int) -> Tuple[Ball, CostProfile]:
         """A bit-exact replica of ``gather_ball(view, radius)``.

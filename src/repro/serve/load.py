@@ -13,10 +13,11 @@ error probes:
    ``X-Repro-Store: hit`` and *bitwise identical* to its phase-1 body,
    with the server's execution counter unmoved — the acceptance gate for
    read-through caching;
-3. **probes** — deliberate 504s (microscopic per-request deadlines) and
-   a best-effort 429 burst (more concurrent fresh requests than the
-   admission queue holds).  These are the only non-2xx statuses a
-   healthy run may produce; anything else fails the harness.
+3. **probes** — deliberate 504s (fixed-count Monte-Carlo jobs under
+   microscopic per-request deadlines; each must come back 504) and a
+   best-effort 429 burst (more concurrent fresh requests than the
+   admission queue holds, each 200 or 429).  Anything else fails the
+   harness.
 
 Loop modes: *closed* (``concurrency`` workers over persistent
 connections, next request on response — measures service latency) and
@@ -399,25 +400,36 @@ async def _fetch_stats(config: LoadConfig) -> Dict[str, object]:
         await client.close()
 
 
-async def _probe_deadlines(
-    config: LoadConfig, rng: random.Random
-) -> Dict[str, int]:
-    """Fire requests with microscopic deadlines; expect clean 504s."""
-    from repro.registry import iter_compatible
+# The deadline probe's job: a fixed 250-trial estimate whose trials read
+# random bits, so every trial executes (~0.1 s of work) and none can
+# finish inside the probe's 0.1 ms deadline.  A deterministic cell's
+# batch executes once and may beat it.
+DEADLINE_PROBE = {
+    "algorithm": "leaf-coloring/rw-to-leaf",
+    "family": "leaf-coloring",
+    "param": "3",
+    "policy": {
+        "quick": False, "min_trials": 250, "max_trials": 250,
+        "early_stop": False,
+    },
+    "deadline": 1e-4,
+}
 
-    cells = list(iter_compatible())
+
+async def _probe_deadlines(config: LoadConfig) -> Dict[str, int]:
+    """Fire jobs that outlast a microscopic deadline; expect only 504s.
+
+    Each probe draws its seed from the OS, so no earlier run can have
+    stored its key and a store-backed server has to execute it.
+    """
+    seeds = random.SystemRandom()
     counts = {"sent": 0, "got_504": 0, "got_200": 0, "other": 0}
     client = _Client(config.host, config.port)
     try:
         for _ in range(config.deadline_probes):
-            cell = rng.choice(cells)
-            request = LoadRequest("/solve", {
-                "algorithm": cell.algorithm.name,
-                "family": cell.family.name,
-                "param": repr(min_param(cell.family)),
-                "seed": rng.randrange(1 << 30),
-                "deadline": 1e-4,
-            })
+            request = LoadRequest(
+                "/mc", {**DEADLINE_PROBE, "seed": seeds.randrange(1 << 30)}
+            )
             status, _, _ = await client.request(
                 "POST", request.path, request.body()
             )
@@ -511,7 +523,7 @@ async def _run_load(config: LoadConfig) -> LoadReport:
     probe_rng = random.Random(config.seed + 2)
     probes: Dict[str, object] = {}
     if config.deadline_probes > 0:
-        probes["deadline"] = await _probe_deadlines(config, probe_rng)
+        probes["deadline"] = await _probe_deadlines(config)
     if config.burst_probes > 0:
         probes["burst"] = await _probe_burst(config, probe_rng)
 
@@ -533,10 +545,11 @@ async def _run_load(config: LoadConfig) -> LoadReport:
             f"first responses"
         )
     deadline_counts = probes.get("deadline")
-    if deadline_counts and deadline_counts["other"]:
+    if deadline_counts and (
+        deadline_counts["got_504"] != deadline_counts["sent"]
+    ):
         failures.append(
-            f"deadline probes produced statuses other than 200/504: "
-            f"{deadline_counts}"
+            f"deadline probes must all time out with 504: {deadline_counts}"
         )
     burst_counts = probes.get("burst")
     if burst_counts and burst_counts["other"]:

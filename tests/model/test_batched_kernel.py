@@ -4,18 +4,24 @@ DESIGN.md §9.3's contract: :meth:`CsrGatherKernel.ball` returns the same
 :class:`~repro.model.views.Ball` — content *and* every dict insertion
 order — and the same :class:`~repro.model.probe.CostProfile` as running
 ``gather_ball`` through the scalar probe engine, for every start node
-and radius.  ``summarize`` agrees with ``ball`` on the flat summary.
+and radius.  ``summarize`` agrees with ``ball`` on the flat summary, and
+``eccentricities`` with ``summarize``'s depth on every full gather.
 """
 
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms.generic import FullGatherAlgorithm
 from repro.graphs.generators import (
     balanced_tree_instance,
     leaf_coloring_instance,
 )
+from repro.graphs.labelings import Instance, Labeling
+from repro.graphs.port_graph import PortGraph
 from repro.model.batched import CsrGatherKernel, gather_kernel
 from repro.model.oracle import StaticOracle, compile_oracle
 from repro.model.probe import ProbeAlgorithm, execute_at
@@ -92,6 +98,103 @@ class TestBallReplication:
                 assert queries == profile.queries
 
 
+def _assert_eccentricities(instance, every_start=True):
+    """``eccentricities`` == ``summarize`` depth on every component.
+
+    With ``every_start`` each member of a component is also the start of
+    an ``eccentricities`` call; otherwise only its first member is.
+    """
+    kernel = compile_oracle(instance).gather_kernel()
+    radius = max(1, instance.n)
+    for component in instance.graph.connected_components():
+        depths = {v: kernel.summarize(v, radius)[1] for v in component}
+        for start in component if every_start else component[:1]:
+            assert kernel.eccentricities(start) == depths
+
+
+@st.composite
+def forests(draw):
+    """Port graphs of several components: random trees, isolated nodes
+    and 1- and 2-node paths, some trees with one extra edge, and some
+    dangling ports."""
+    sizes = draw(st.lists(st.integers(1, 10), min_size=1, max_size=4))
+    ids = draw(st.permutations(range(1, sum(sizes) + 1)))
+    graph = PortGraph(max_degree=sum(sizes) + 2)
+    for v in ids:
+        graph.add_node(v)
+
+    def connect(u, v):
+        graph.add_edge(u, graph.num_ports(u) + 1, v, graph.num_ports(v) + 1)
+
+    first = 0
+    for size in sizes:
+        members = ids[first:first + size]
+        first += size
+        for i in range(1, size):
+            connect(members[draw(st.integers(0, i - 1))], members[i])
+        absent = [
+            (u, v)
+            for i, u in enumerate(members)
+            for v in members[i + 1:]
+            if graph.port_to(u, v) is None
+        ]
+        if absent and draw(st.booleans()):
+            connect(*draw(st.sampled_from(absent)))
+        if draw(st.booleans()):
+            v = draw(st.sampled_from(members))
+            graph.reserve_port(v, graph.num_ports(v) + 1)
+    return Instance(graph=graph, labeling=Labeling(), name="forest")
+
+
+class TestEccentricities:
+    """One call gives every member its full-gather distance."""
+
+    def test_sample_instances(self):
+        for instance in _instances():
+            _assert_eccentricities(instance)
+
+    @pytest.mark.parametrize(
+        "cell",
+        FULL_GATHER,
+        ids=[f"{c.algorithm.name}@{c.family.name}" for c in FULL_GATHER],
+    )
+    def test_full_gather_grid_points(self, cell):
+        params = dict.fromkeys((*cell.family.quick, *cell.family.full))
+        instances = [cell.family.instance(param) for param in params]
+        small = [i for i in instances if i.graph.num_nodes <= 600]
+        assert small
+        for instance in small:
+            _assert_eccentricities(instance, every_start=False)
+
+    @given(forests())
+    @settings(max_examples=150, deadline=None)
+    def test_drawn_forests(self, instance):
+        _assert_eccentricities(instance)
+
+    @pytest.mark.parametrize(
+        "edges, expected",
+        [
+            ([], {1: 0}),
+            ([(1, 2)], {1: 1, 2: 1}),
+            ([(1, 2), (2, 3)], {1: 2, 2: 1, 3: 2}),
+            ([(1, 2), (2, 3), (1, 3)], {1: 1, 2: 1, 3: 1}),
+        ],
+        ids=["1-node", "2-path", "3-path", "triangle"],
+    )
+    def test_smallest_components(self, edges, expected):
+        graph = PortGraph(max_degree=2)
+        for v in expected:
+            graph.add_node(v)
+        for u, v in edges:
+            graph.add_edge(
+                u, graph.num_ports(u) + 1, v, graph.num_ports(v) + 1
+            )
+        instance = Instance(graph=graph, labeling=Labeling())
+        kernel = compile_oracle(instance).gather_kernel()
+        for start in expected:
+            assert kernel.eccentricities(start) == expected
+
+
 class TestDispatch:
     def test_compiled_oracle_memoizes_kernel(self):
         oracle = compile_oracle(balanced_tree_instance(2))
@@ -128,11 +231,16 @@ class TestDispatch:
             for param in cell.family.quick
         ],
     )
-    def test_full_gather_batch_matches_scalar_runs(self, cell, param):
+    def test_full_gather_batch_matches_scalar_runs(
+        self, cell, param, monkeypatch
+    ):
         """Each component is solved once; every node matches ``execute_at``.
 
-        The batch is given all start nodes shuffled, and a contiguous
-        strict subset of them (the shape of a process-pool chunk).
+        The batch is given all start nodes shuffled, a contiguous strict
+        subset of them (the shape of a process-pool chunk), and a single
+        start node.  ``eccentricities`` runs once per component with a
+        second start node in the batch, and never for a component with
+        one.
         """
         instance = cell.family.instance(param)
         oracle = compile_oracle(instance)
@@ -153,8 +261,17 @@ class TestDispatch:
         random.Random(repr(param)).shuffle(shuffled)
         chunk = nodes[len(nodes) // 3: 2 * len(nodes) // 3 + 1]
         assert 0 < len(chunk) < len(nodes)
-        for batch in (shuffled, chunk):
+        ecc_calls = []
+        eccentricities = CsrGatherKernel.eccentricities
+
+        def counted_ecc(kernel, start):
+            ecc_calls.append(component[start])
+            return eccentricities(kernel, start)
+
+        monkeypatch.setattr(CsrGatherKernel, "eccentricities", counted_ecc)
+        for batch in (shuffled, chunk, nodes[:1]):
             calls = []
+            ecc_calls.clear()
 
             def counted(local):
                 calls.append(local)
@@ -167,3 +284,7 @@ class TestDispatch:
             for node, output, profile in batched:
                 assert (output, profile) == scalar[node]
             assert len(calls) == len({component[v] for v in batch})
+            starts = Counter(component[v] for v in batch)
+            assert sorted(ecc_calls) == sorted(
+                c for c, count in starts.items() if count > 1
+            )

@@ -146,7 +146,9 @@ class TestHarnessEndToEnd:
         assert repeat.store_hits == 8
         assert report.repeat_identical is True
         assert report.repeat_executions == 0
-        assert report.probes["deadline"]["other"] == 0
+        deadline = report.probes["deadline"]
+        assert deadline["got_504"] == deadline["sent"] == 1
+        assert deadline["other"] == 0
         assert report.probes["burst"]["other"] == 0
         payload = report.to_payload()
         assert payload["ok"] is True

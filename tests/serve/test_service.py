@@ -17,10 +17,13 @@ from repro.serve.service import ServeConfig, ServerThread
 from _client import Client
 
 SOLVE = {"algorithm": "cycle/2-coloring", "family": "cycle", "param": "8"}
-# A fixed 250-trial Monte-Carlo job: tens of milliseconds of work, so it
-# is still running when a short deadline expires.
+# A fixed 250-trial Monte-Carlo job, ~0.1 s of work, so it is still
+# running when a short deadline expires.  Its trials read random bits,
+# so each one executes; a deterministic cell's batch would execute once.
 SLOW_MC = {
-    **SOLVE,
+    "algorithm": "leaf-coloring/rw-to-leaf",
+    "family": "leaf-coloring",
+    "param": "3",
     "policy": {
         "quick": False, "min_trials": 250, "max_trials": 250,
         "early_stop": False,
@@ -208,7 +211,7 @@ class TestCoalescing:
         # A slow fixed-count MC job keeps the key in flight long enough
         # for the second request to piggyback deterministically.
         payload = {
-            **SOLVE,
+            **SLOW_MC,
             "seed": 990010,
             "policy": {
                 "quick": False, "min_trials": 300, "max_trials": 300,
@@ -248,7 +251,7 @@ class TestBackpressure:
                 results = [f.result() for f in futures]
             statuses = sorted(r[0] for r in results)
             # Only 200 and 429 may come back; with eight simultaneous
-            # ~multi-hundred-ms jobs against a one-slot queue, at least
+            # ~0.1 s jobs against a one-slot queue, at least
             # one must have been rejected.
             assert set(statuses) <= {200, 429}
             assert 429 in statuses
