@@ -16,11 +16,12 @@
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from dataclasses import replace
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.model.congest import CongestAlgorithm, Message
 from repro.model.oracle import NodeInfo
-from repro.model.probe import ProbeAlgorithm, ProbeView
+from repro.model.probe import ProbeAlgorithm, ProbeView, execute_at
 from repro.registry import register_algorithm
 
 # Cycle port convention (builders.cycle_graph): 1 = predecessor, 2 = successor.
@@ -28,16 +29,19 @@ _PREV, _NEXT = 1, 2
 
 
 def cv_iterations(id_bits: int) -> int:
-    """Iterations of Cole–Vishkin reduction until colors fit in 3 bits.
+    """Iterations of Cole–Vishkin reduction until every color is below 6.
 
-    One step maps an ℓ-bit color to one of at most 2ℓ values; the fixed
-    point is ℓ = 3 (colors 0..5).  The count is Θ(log* of the initial
-    bit-length).
+    Colors start as IDs below ``2 ** id_bits`` (at least 3 bits).  One
+    step maps colors below ``bound`` to colors below 2ℓ, where ℓ is the
+    bit length of ``bound − 1``; the fixed point is bound 6 (colors
+    0..5), the colors the three shift-down rounds reduce to 0..2.  3-bit
+    colors still take a step, since they include 6 and 7.  The count is
+    Θ(log* of the initial bit-length).
     """
     iterations = 0
-    bits = max(3, id_bits)
-    while bits > 3:
-        bits = max(3, (bits - 1).bit_length() + 1)
+    bound = 2 ** max(3, id_bits)
+    while bound > 6:
+        bound = 2 * (bound - 1).bit_length()
         iterations += 1
     return iterations
 
@@ -47,6 +51,57 @@ def _cv_step(own: int, successor: int) -> int:
     diff = own ^ successor
     i = (diff & -diff).bit_length() - 1  # lowest differing bit index
     return 2 * i + ((own >> i) & 1)
+
+
+def _ring_positions(oracle, nodes) -> Optional[Dict[int, int]]:
+    """Each node's position on the successor ring from ``nodes[0]``.
+
+    The returned dict lists the ring in successor order.  ``None`` unless
+    the batch is exact (DESIGN.md §9.3): the ring has exactly
+    ``oracle.n`` nodes, each with connected ports (1, 2), port 2 of each
+    u leads to a w whose port 1 leads back to u, and ``nodes`` is the
+    whole ring.
+    """
+    n = oracle.n
+    if not nodes or len(nodes) != n:
+        return None
+    resolve = oracle.resolve
+    node_info = oracle.node_info
+    position: Dict[int, int] = {}
+    node = nodes[0]
+    for index in range(n):
+        if node in position or node_info(node).ports != (_PREV, _NEXT):
+            return None
+        position[node] = index
+        successor = resolve(node, _NEXT)
+        if successor is None or resolve(successor, _PREV) != node:
+            return None
+        node = successor
+    if node != nodes[0] or any(v not in position for v in nodes):
+        return None
+    return position
+
+
+def _ring_batch(
+    algorithm: ProbeAlgorithm,
+    oracle,
+    nodes,
+    ring_outputs: Callable[[List[int]], List[object]],
+):
+    """``run_node_batch`` of a cycle algorithm: one pass over the ring.
+
+    On a port-uniform cycle every start node's walk issues the same
+    queries relative to its own position, so one scalar execution gives
+    every start node's profile (each gets its own copy: a
+    :class:`CostProfile` is mutable).  ``ring_outputs`` maps the ring's
+    IDs, in successor order, to every position's output.
+    """
+    position = _ring_positions(oracle, nodes)
+    if position is None:
+        return None
+    _, first = execute_at(oracle, algorithm, nodes[0])
+    outputs = ring_outputs(list(position))
+    return [(node, outputs[position[node]], replace(first)) for node in nodes]
 
 
 @register_algorithm("cycle/cole-vishkin", problem="cycle-3-coloring")
@@ -72,12 +127,44 @@ class ColeVishkinColoring(ProbeAlgorithm):
     def __init__(self, id_bits: Optional[int] = None) -> None:
         self.id_bits = id_bits
 
+    def iterations(self, n: int) -> int:
+        """T: the Cole–Vishkin steps run on an ``n``-node input."""
+        return cv_iterations(self.id_bits or max(8, (4 * n).bit_length()))
+
+    def run_node_batch(self, oracle, nodes):
+        return _ring_batch(self, oracle, nodes, self.ring_colors)
+
+    def ring_colors(self, ids: List[int]) -> List[int]:
+        """Every position's final color on the ring of ``ids``, in O(n·T).
+
+        ``ids`` lists the ring in successor order.  These are the
+        synchronous rounds :meth:`run` simulates around one position: T
+        steps against the successor's color, then the shift-down of
+        colors 5, 4, 3.
+        """
+        colors = list(ids)
+        for _ in range(self.iterations(len(ids))):
+            colors = [
+                _cv_step(own, successor)
+                for own, successor in zip(colors, colors[1:] + colors[:1])
+            ]
+        for eliminate in (5, 4, 3):
+            colors = [
+                min({0, 1, 2} - {left, right}) if c == eliminate else c
+                for left, c, right in zip(
+                    colors[-1:] + colors[:-1], colors, colors[1:] + colors[:1]
+                )
+            ]
+        return colors
+
     def run(self, view: ProbeView):
-        id_bits = self.id_bits or (max(8, (4 * view.n).bit_length()))
-        t_cv = cv_iterations(id_bits)
-        back, forward = 4, t_cv + 8
+        t_cv = self.iterations(view.n)
+        back, forward = 4, t_cv + 7
         # Gather the chain: positions -back .. +forward relative to start.
         chain_ids: Dict[int, int] = {0: view.start}
+        # The walk's period: n on an n-cycle, j if the walk is back at the
+        # start after j steps (a shorter ring, or ports swapped somewhere).
+        length = view.n
         node = view.start
         for j in range(1, forward + 1):
             info = view.query(node, _NEXT)
@@ -86,7 +173,8 @@ class ColeVishkinColoring(ProbeAlgorithm):
             chain_ids[j] = info.node_id
             node = info.node_id
             if info.node_id == view.start:
-                break  # tiny cycle: we have wrapped around
+                length = j  # tiny cycle: we have wrapped around
+                break
         node = view.start
         for j in range(1, back + 1):
             info = view.query(node, _PREV)
@@ -94,8 +182,6 @@ class ColeVishkinColoring(ProbeAlgorithm):
                 return 0
             chain_ids[-j] = info.node_id
             node = info.node_id
-
-        length = view.n  # exact cycle length (n nodes on a cycle)
 
         def id_at(pos: int) -> int:
             """ID at relative position pos, using wraparound on tiny cycles."""
@@ -137,6 +223,17 @@ class MISFromColoring(ProbeAlgorithm):
     def __init__(self, id_bits: Optional[int] = None) -> None:
         self._coloring = ColeVishkinColoring(id_bits)
 
+    def run_node_batch(self, oracle, nodes):
+        return _ring_batch(self, oracle, nodes, self._ring_outputs)
+
+    def _ring_outputs(self, ids: List[int]) -> List[int]:
+        colors = self._coloring.ring_colors(ids)
+        n = len(colors)
+        return [
+            _mis_output({k: colors[(i + k) % n] for k in range(-2, 3)})
+            for i in range(n)
+        ]
+
     def run(self, view: ProbeView):
         # Collect final colors of positions -2..2 by simulating the
         # coloring from each of those nodes' perspectives.  We reuse the
@@ -146,29 +243,40 @@ class MISFromColoring(ProbeAlgorithm):
         node = view.start
         for j in range(1, 3):
             info = view.query(node, _NEXT)
+            if info is None:  # not a cycle; bail out
+                return 0
             node_at[j] = info.node_id
             node = info.node_id
         node = view.start
         for j in range(1, 3):
             info = view.query(node, _PREV)
+            if info is None:
+                return 0
             node_at[-j] = info.node_id
             node = info.node_id
         for pos in range(-2, 3):
             colors[pos] = _SubwalkColoring(self._coloring, node_at[pos]).run(view)
+        return _mis_output(colors)
 
-        # Greedy by color class: v joins iff no smaller-colored neighbor
-        # joins.  With colors in {0, 1, 2} the recursion bottoms out within
-        # the ±2 window (a strictly decreasing color chain has length ≤ 3).
-        def joined(pos: int) -> bool:
-            c = colors[pos]
-            if c == 0:
-                return True
-            for nbr in (pos - 1, pos + 1):
-                if nbr in colors and colors[nbr] < c and joined(nbr):
-                    return False
+
+def _mis_output(colors: Dict[int, int]) -> int:
+    """MIS output of position 0 from the final colors of positions −2..2.
+
+    Greedy by color class: a node joins iff no smaller-colored neighbor
+    joins.  With colors in {0, 1, 2} the recursion bottoms out within the
+    ±2 window (a strictly decreasing color chain has length ≤ 3).
+    """
+
+    def joined(pos: int) -> bool:
+        c = colors[pos]
+        if c == 0:
             return True
+        for nbr in (pos - 1, pos + 1):
+            if nbr in colors and colors[nbr] < c and joined(nbr):
+                return False
+        return True
 
-        return 1 if joined(0) else 0
+    return 1 if joined(0) else 0
 
 
 class _SubwalkColoring:
@@ -229,20 +337,33 @@ class TwoColoringGather(ProbeAlgorithm):
 
     name = "cycle/2-coloring"
 
+    def run_node_batch(self, oracle, nodes):
+        return _ring_batch(self, oracle, nodes, self._ring_outputs)
+
+    @staticmethod
+    def _ring_outputs(ids: List[int]) -> List[int]:
+        n = len(ids)
+        anchor = ids.index(min(ids))
+        # The scalar run's (len(ids) - anchor) % 2, with its walk started
+        # at position p: the anchor lies (anchor - p) % n steps ahead.
+        return [(n - (anchor - p) % n) % 2 for p in range(n)]
+
     def run(self, view: ProbeView):
         ids = [view.start]
         node = view.start
-        while True:
+        # A cycle leads back to the start within n queries; a walk that
+        # has not (ports swapped somewhere) would bounce forever.
+        for _ in range(view.n):
             info = view.query(node, _NEXT)
             if info is None:
                 return 0
             if info.node_id == view.start:
-                break
+                anchor = min(range(len(ids)), key=lambda i: ids[i])
+                # distance from anchor to position 0 going forward
+                return (len(ids) - anchor) % 2
             ids.append(info.node_id)
             node = info.node_id
-        anchor = min(range(len(ids)), key=lambda i: ids[i])
-        # distance from anchor to position 0 going forward
-        return (len(ids) - anchor) % 2
+        return 0
 
 
 @register_algorithm("relay/probe", problem="relay")

@@ -39,12 +39,14 @@ enforces the equivalence.
 Two fast paths sit on top of the compiled engine (both bitwise-identical
 to the scalar serial semantics, both enforced by the equivalence suites):
 
-* **Batched flat-array kernel** — deterministic, unbudgeted runs of
+* **Batched whole runs** — deterministic, unbudgeted runs of
   algorithms that implement
-  :meth:`~repro.model.probe.ProbeAlgorithm.run_node_batch` (the
-  full-gather family) advance over the CSR arrays directly
-  (:mod:`repro.model.batched`) instead of through per-query
-  :class:`~repro.model.probe.ProbeView` bookkeeping.
+  :meth:`~repro.model.probe.ProbeAlgorithm.run_node_batch` skip the
+  per-node loop: the full-gather family advances over the CSR arrays
+  directly (:mod:`repro.model.batched`) instead of through per-query
+  :class:`~repro.model.probe.ProbeView` bookkeeping, and the cycle
+  algorithms answer a port-uniform cycle from one execution and one
+  pass over its ring.
 * **Zero-copy shared memory** — :class:`ProcessPoolBackend` publishes
   the frozen instance once per dispatch into a
   :mod:`multiprocessing.shared_memory` segment (:mod:`repro.exec.shm`)

@@ -415,11 +415,14 @@ class ProbeAlgorithm:
         (``repro.exec.backends._execute_nodes``) treats the batch as a
         drop-in replacement and the equivalence suites enforce bitwise
         identity.  Only ever invoked for deterministic, unbudgeted runs
-        (no tape store, no volume/query truncation); gather-style
+        (no tape store, no volume/query truncation).  Full-gather
         algorithms implement it over the flat-array CSR kernel
-        (:mod:`repro.model.batched`).  Returning ``None`` — the default,
-        and the right answer whenever ``oracle`` has no kernel — selects
-        the scalar engine.
+        (:mod:`repro.model.batched`); the cycle algorithms over one
+        scalar execution, whose profile every start node of a
+        port-uniform cycle shares, and one pass over the ring.
+        Returning ``None`` — the default, and the right answer whenever
+        the batch's argument does not cover ``oracle`` and ``nodes`` —
+        selects the scalar engine.
         """
         return None
 

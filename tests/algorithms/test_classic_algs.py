@@ -26,7 +26,15 @@ from repro.problems.classic.relay import RelayProblem
 
 class TestCVIterations:
     def test_small_fixed_point(self):
-        assert cv_iterations(3) == 0
+        # 3-bit colors include 6 and 7, which the shift-down keeps.
+        assert cv_iterations(3) == 1
+
+    def test_reaches_six_colors(self):
+        for id_bits in range(1, 300):
+            bound = 2 ** max(3, id_bits)
+            for _ in range(cv_iterations(id_bits)):
+                bound = 2 * (bound - 1).bit_length()
+            assert bound <= 6
 
     def test_monotone_and_tiny(self):
         # log* growth: even 2^16-bit IDs need only a handful of rounds
@@ -39,7 +47,9 @@ class TestCVIterations:
 
 
 class TestColeVishkin:
-    @pytest.mark.parametrize("n", [8, 16, 64, 256])
+    # One step short, n = 5, 6, 12, 1024 (the `cycle` family's largest
+    # full-grid point) and 2048 ended with colors 6 or 7.
+    @pytest.mark.parametrize("n", [5, 6, 8, 12, 16, 64, 256, 1024, 2048])
     def test_proper_coloring(self, n):
         inst = cycle_instance(n, rng=random.Random(n))
         report = solve_and_check(CycleColoring(3), inst, ColeVishkinColoring())
@@ -63,7 +73,7 @@ class TestColeVishkin:
 
 
 class TestMIS:
-    @pytest.mark.parametrize("n", [8, 32, 128])
+    @pytest.mark.parametrize("n", [5, 6, 8, 12, 32, 128, 1024, 2048])
     def test_valid_mis(self, n):
         inst = cycle_instance(n, rng=random.Random(n))
         report = solve_and_check(
@@ -84,6 +94,7 @@ class TestTwoColoring:
         inst = cycle_instance(32, rng=random.Random(0))
         result = run_algorithm(inst, TwoColoringGather())
         assert result.max_volume == 32
+        assert {p.queries for p in result.profiles.values()} == {32}
 
 
 class TestRelayProbe:
