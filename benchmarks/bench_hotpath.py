@@ -142,7 +142,7 @@ class BatchedGatherAlgorithm(PureGatherAlgorithm):
 
     name = "pure-gather-batched"
 
-    def run_node_batch(self, oracle, nodes):
+    def run_node_batch(self, oracle, nodes, tapes=None):
         kernel = gather_kernel(oracle)
         if kernel is None:
             return None

@@ -131,7 +131,7 @@ class ColeVishkinColoring(ProbeAlgorithm):
         """T: the Cole–Vishkin steps run on an ``n``-node input."""
         return cv_iterations(self.id_bits or max(8, (4 * n).bit_length()))
 
-    def run_node_batch(self, oracle, nodes):
+    def run_node_batch(self, oracle, nodes, tapes=None):
         return _ring_batch(self, oracle, nodes, self.ring_colors)
 
     def ring_colors(self, ids: List[int]) -> List[int]:
@@ -223,7 +223,7 @@ class MISFromColoring(ProbeAlgorithm):
     def __init__(self, id_bits: Optional[int] = None) -> None:
         self._coloring = ColeVishkinColoring(id_bits)
 
-    def run_node_batch(self, oracle, nodes):
+    def run_node_batch(self, oracle, nodes, tapes=None):
         return _ring_batch(self, oracle, nodes, self._ring_outputs)
 
     def _ring_outputs(self, ids: List[int]) -> List[int]:
@@ -337,7 +337,7 @@ class TwoColoringGather(ProbeAlgorithm):
 
     name = "cycle/2-coloring"
 
-    def run_node_batch(self, oracle, nodes):
+    def run_node_batch(self, oracle, nodes, tapes=None):
         return _ring_batch(self, oracle, nodes, self._ring_outputs)
 
     @staticmethod

@@ -88,7 +88,7 @@ class FullGatherAlgorithm(ProbeAlgorithm):
         outputs = self._reference(local)
         return outputs[view.start]
 
-    def run_node_batch(self, oracle, nodes):
+    def run_node_batch(self, oracle, nodes, tapes=None):
         """Whole-run batch over the flat-array CSR kernel.
 
         A full gather is the start node's whole component, so every start

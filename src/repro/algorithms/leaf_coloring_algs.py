@@ -27,7 +27,8 @@ from repro.graphs.tree_structure import (
     left_child_node,
     right_child_node,
 )
-from repro.model.probe import ProbeAlgorithm, ProbeView
+from repro.model.batched import tree_table
+from repro.model.probe import CostProfile, ProbeAlgorithm, ProbeView
 from repro.model.randomness import RandomnessModel
 from repro.model.views import ProbeTopology
 from repro.algorithms.generic import FullGatherAlgorithm
@@ -105,7 +106,8 @@ class RWtoLeaf(ProbeAlgorithm):
     def __init__(self, cap_factor: int = 32) -> None:
         self.cap_factor = cap_factor
 
-    def _bit(self, view: ProbeView, node: int) -> int:
+    def _bit(self, view: ProbeView, node: int, step: int) -> int:
+        """The bit steering step ``step`` of the walk, taken at ``node``."""
         return view.random_bit(node, 0)
 
     def run(self, view: ProbeView):
@@ -116,7 +118,7 @@ class RWtoLeaf(ProbeAlgorithm):
         max_steps = self.cap_factor * _log2_ceil(view.n) + 8
         current = start
         for step in range(max_steps):
-            bit = self._bit(view, current)
+            bit = self._bit(view, current, step)
             if current == start and step > 0:
                 # Line 4: the walk revisited its origin; take the other
                 # child to leave the cycle.
@@ -139,6 +141,97 @@ class RWtoLeaf(ProbeAlgorithm):
     def fallback(self, view: ProbeView):
         return view.start_info.label.color
 
+    def run_node_batch(self, oracle, nodes, tapes=None):
+        """Every start node's walk over the oracle's tree table.
+
+        Each walk takes the scalar :meth:`run`'s steps: the same bits,
+        read through the run's own ``tapes`` in the same order, the flip
+        on coming back to the start, the same step cap and outputs.  Its
+        profile is the one the scalar view would measure.  The scalar run
+        resolves ports only inside ``is_internal`` (an internal node's
+        children are resolved there before the walk reads them), so its
+        queries are the distinct resolutions of the nodes it evaluated,
+        its volume is the start plus their endpoints, its distance is a
+        BFS from the start over those edges, and it read one bit per
+        step.  Walks share nothing but the table (DESIGN.md §9.3).
+
+        ``None`` (the scalar loop) without a compiled oracle or a tape
+        store, and for any subclass: one may steer or fall back
+        otherwise.
+        """
+        walker = type(self)
+        table = tree_table(oracle)
+        if (
+            walker not in (RWtoLeaf, SecretRWtoLeaf)
+            or tapes is None
+            or table is None
+        ):
+            return None
+        secret = walker is SecretRWtoLeaf
+        tape_for = tapes.tape_for
+        entry = table.entry
+        max_steps = self.cap_factor * _log2_ceil(oracle.n) + 8
+        triples = []
+        for start in nodes:
+            first = entry(start)
+            walked = [first]
+            output = first.color
+            steps = 0
+            if first.internal:
+                # SecretRWtoLeaf reads r_start(step), RWtoLeaf r_node(0).
+                own = tape_for(start) if secret else None
+                current, row = start, first
+                for step in range(max_steps):
+                    bit = own.bit(step) if secret else tape_for(current).bit(0)
+                    steps += 1
+                    if current == start and step > 0:
+                        bit = 1 - bit
+                    nxt = row.left if bit == 0 else row.right
+                    if nxt is None:
+                        output = row.color
+                        break
+                    row = entry(nxt)
+                    walked.append(row)
+                    if not row.internal:
+                        output = row.color
+                        break
+                    current = nxt
+            profile = _walk_profile(start, walked, steps)
+            triples.append((start, output, profile))
+        return triples
+
+
+def _walk_profile(start: int, walked, steps: int) -> CostProfile:
+    """The scalar profile of a walk that evaluated the ``walked`` rows."""
+    # A key resolves to the same endpoint in every row, so merging keeps
+    # one entry per distinct query.  Every queried node is the start or
+    # an endpoint, so the BFS reaches every visited node: its size is the
+    # volume and its deepest level the explored-subgraph distance.
+    queried = {}
+    for row in walked:
+        queried.update(row.resolutions)
+    adjacency = {start: []}
+    for (node, _), endpoint in queried.items():
+        if endpoint is not None:
+            adjacency[node].append(endpoint)
+            adjacency.setdefault(endpoint, []).append(node)
+    depth = {start: 0}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for w in adjacency[u]:
+                if w not in depth:
+                    depth[w] = depth[u] + 1
+                    nxt.append(w)
+        frontier = nxt
+    return CostProfile(
+        volume=len(depth),
+        distance=max(depth.values()),
+        queries=len(queried),
+        random_bits=steps,
+    )
+
 
 @register_algorithm(
     "leaf-coloring/secret-rw",
@@ -159,14 +252,8 @@ class SecretRWtoLeaf(RWtoLeaf):
     name = "leaf-coloring/secret-rw"
     randomness = RandomnessModel.SECRET
 
-    def run(self, view: ProbeView):
-        self._step_counter = 0
-        return super().run(view)
-
-    def _bit(self, view: ProbeView, node: int) -> int:
-        bit = view.random_bit(view.start, self._step_counter)
-        self._step_counter += 1
-        return bit
+    def _bit(self, view: ProbeView, node: int, step: int) -> int:
+        return view.random_bit(view.start, step)
 
 
 @register_algorithm("leaf-coloring/full-gather", problem="leaf-coloring")

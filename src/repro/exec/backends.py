@@ -39,14 +39,15 @@ enforces the equivalence.
 Two fast paths sit on top of the compiled engine (both bitwise-identical
 to the scalar serial semantics, both enforced by the equivalence suites):
 
-* **Batched whole runs** — deterministic, unbudgeted runs of
-  algorithms that implement
+* **Batched runs** — unbudgeted runs of algorithms that implement
   :meth:`~repro.model.probe.ProbeAlgorithm.run_node_batch` skip the
   per-node loop: the full-gather family advances over the CSR arrays
   directly (:mod:`repro.model.batched`) instead of through per-query
-  :class:`~repro.model.probe.ProbeView` bookkeeping, and the cycle
+  :class:`~repro.model.probe.ProbeView` bookkeeping, the cycle
   algorithms answer a port-uniform cycle from one execution and one
-  pass over its ring.
+  pass over its ring, and the randomized random-walk leaf-coloring
+  algorithms walk the compiled oracle's tree table, reading the run's
+  own tape store.
 * **Zero-copy shared memory** — :class:`ProcessPoolBackend` publishes
   the frozen instance once per dispatch into a
   :mod:`multiprocessing.shared_memory` segment (:mod:`repro.exec.shm`)
@@ -143,20 +144,19 @@ def _execute_nodes(
     distance_mode: str = "incremental",
 ) -> List[Tuple[int, object, CostProfile]]:
     """The shared inner loop: run ``algorithm`` from each node in order."""
+    tapes = TapeStore(seed) if algorithm.is_randomized else None
     if (
         distance_mode == "incremental"
         and max_volume is None
         and max_queries is None
-        and not algorithm.is_randomized
     ):
-        # Batched flat-array fast path: only for deterministic,
-        # unbudgeted runs on the compiled engine (truncation and tape
-        # semantics stay with the scalar loop below, which is also the
-        # reference path `distance_mode="reference"` always takes).
-        batched = algorithm.run_node_batch(oracle, nodes)
+        # Batched fast path: only for unbudgeted runs on the compiled
+        # engine (truncation semantics stay with the scalar loop below,
+        # which is also the reference path `distance_mode="reference"`
+        # always takes).  A randomized batch reads the run's own tapes.
+        batched = algorithm.run_node_batch(oracle, nodes, tapes)
         if batched is not None:
             return batched
-    tapes = TapeStore(seed) if algorithm.is_randomized else None
     out: List[Tuple[int, object, CostProfile]] = []
     for node in nodes:
         output, profile = execute_at(
@@ -257,26 +257,33 @@ def _trial_outcomes(
     every tape read is counted.  A trial that read no random bit never
     branched on its tape, so every other seed gives the same outcome:
     the later trials of such a batch take it with their own ``trial``
-    and ``seed`` instead of executing again (DESIGN.md §8.2).
+    and ``seed`` instead of executing again.  Every trial of a fixed
+    instance is validated through one topology, built (and a spec
+    materialized) once per batch (DESIGN.md §8.2).
     """
-    from repro.model.runner import solve_and_check
+    from repro.model.runner import solve_and_check, validation_topology
 
     fixed = isinstance(instance_factory, FixedInstanceFactory)
     seed_free: Optional[TrialOutcome] = None
+    topology = None
     outcomes: List[TrialOutcome] = []
     for trial in trial_indices:
         seed = base_seed + trial
         if seed_free is not None:
             outcomes.append(replace(seed_free, trial=trial, seed=seed))
             continue
+        source = instance_factory(trial)
+        if topology is None or not fixed:
+            topology = validation_topology(source)
         report = solve_and_check(
             problem,
-            instance_factory(trial),
+            source,
             algorithm,
             seed=seed,
             max_volume=max_volume,
             max_queries=max_queries,
             backend=backend,
+            topology=topology,
         )
         run = report.run
         outcome = TrialOutcome(

@@ -82,8 +82,9 @@ def leaf_coloring_instance(
     rnd = _rng(rng)
     topo = complete_binary_tree(depth)
     labeling = tree_labeling_for(topo)
+    leaves = set(topo.leaves)
     for node in topo.graph.nodes():
-        if node in set(topo.leaves):
+        if node in leaves:
             labeling[node].color = (
                 leaf_color if leaf_color is not None else rnd.choice(COLORS)
             )

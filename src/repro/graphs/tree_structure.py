@@ -78,6 +78,11 @@ class InstanceTopology:
         #: ``is_internal`` per node, filled in as :func:`is_internal` asks.
         self.internal_memo: Dict[int, bool] = {}
 
+    @property
+    def instance(self) -> Instance:
+        """The instance this topology reads."""
+        return self._instance
+
     def label(self, node_id: int) -> NodeLabel:
         label = self._labels.get(node_id)
         if label is None:

@@ -58,10 +58,20 @@ class LCLProblem:
 
     # ------------------------------------------------------------------
     def validate(
-        self, instance: Instance, outputs: Dict[int, object]
+        self,
+        instance: Instance,
+        outputs: Dict[int, object],
+        topology: Optional[InstanceTopology] = None,
     ) -> List[Violation]:
-        """All violations over all nodes (empty list ⇔ valid output)."""
-        topology = InstanceTopology(instance)
+        """All violations over all nodes (empty list ⇔ valid output).
+
+        ``topology`` is an :class:`InstanceTopology` over ``instance`` to
+        read it through (a fresh one by default).  Its memo depends only
+        on the instance, so a caller checking many outputs on one
+        instance can pass the same topology to every call.
+        """
+        if topology is None:
+            topology = InstanceTopology(instance)
         violations: List[Violation] = []
         for node in instance.graph.nodes():
             violations.extend(self.check_node(topology, node, outputs))

@@ -50,16 +50,23 @@ equivalence suite (``tests/perf`` + ``tests/model/test_batched_kernel``)
 pins batched == scalar on every registry cell.
 
 The kernel only ever *applies* when the scalar run would have been
-deterministic and unbudgeted — the dispatch gate in
-``repro.exec.backends._execute_nodes`` requires a compiled oracle, a
-deterministic algorithm, and no volume/query budget (truncation
-semantics stay with the scalar engine).
+unbudgeted on the compiled engine — the dispatch gate in
+``repro.exec.backends._execute_nodes`` requires the incremental engine
+and no volume/query budget (truncation semantics stay with the scalar
+engine), and the kernel itself exists only on a compiled oracle.
+
+:class:`TreeTable` is the structure table the random-walk batches of
+``leaf-coloring/rw-to-leaf`` and ``leaf-coloring/secret-rw`` walk over
+(DESIGN.md §9.3): per node, what a fresh-memo ``is_internal(v)`` answers
+and which port resolutions it issues.  It reads no tape, so every run
+and trial on one compiled oracle shares it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
+from repro.graphs.tree_structure import is_internal
 from repro.model.probe import CostProfile
 from repro.model.views import Ball
 
@@ -268,6 +275,95 @@ class CsrGatherKernel:
         return ball, profile
 
 
+class TreeEntry(NamedTuple):
+    """One node's row of a :class:`TreeTable`."""
+
+    #: What ``is_internal(v)`` answers (Definition 3.3).
+    internal: bool
+    #: The nodes ``LC(v)`` / ``RC(v)`` lead to; ``None`` unless internal.
+    left: Optional[int]
+    right: Optional[int]
+    #: The node's input color χin.
+    color: object
+    #: ``((node, port), endpoint)`` for every distinct port resolution a
+    #: fresh-memo ``is_internal(v)`` issues, in issue order; ``endpoint``
+    #: is ``None`` for a dangling or out-of-range port.
+    resolutions: Tuple[Tuple[Tuple[int, int], Optional[int]], ...]
+
+
+class _RecordingTopology:
+    """A :class:`~repro.graphs.tree_structure.Topology` over an oracle
+    that records each distinct ``(node, port)`` resolution, memoized as
+    :class:`~repro.model.views.ProbeTopology` memoizes its queries.  It
+    carries no ``internal_memo``, so ``is_internal`` recomputes."""
+
+    __slots__ = ("_info", "_resolve", "resolved")
+
+    def __init__(self, info, resolve) -> None:
+        self._info = info
+        self._resolve = resolve
+        self.resolved: Dict[Tuple[int, int], Optional[int]] = {}
+
+    def label(self, node_id: int):
+        return self._info(node_id).label
+
+    def node_at(self, node_id: int, port: Optional[int]) -> Optional[int]:
+        if port is None:
+            return None
+        key = (node_id, port)
+        resolved = self.resolved
+        if key not in resolved:
+            resolved[key] = self._resolve(node_id, port)
+        return resolved[key]
+
+
+class TreeTable:
+    """Per-node tree structure of one compiled oracle, read through no tape.
+
+    :meth:`entry` runs the real ``is_internal`` once per node, through a
+    topology that records its port resolutions, and keeps the
+    :class:`TreeEntry`.  Through a :class:`~repro.model.views.ProbeTopology`
+    each of those resolutions is one query, and a later evaluation in the
+    same execution re-reads memoized resolutions without querying, so an
+    execution that evaluates a set of nodes has queried exactly the
+    distinct resolutions of their entries.  Entries are built as they are
+    first asked for, so a run from a few start nodes pays only for the
+    nodes its walks reach.  One table is memoized per
+    :class:`~repro.model.oracle.CompiledOracle` (see
+    :meth:`~repro.model.oracle.CompiledOracle.tree_table`) and shared by
+    every run and trial on it.
+    """
+
+    __slots__ = ("_info", "_resolve", "_entries")
+
+    def __init__(self, oracle) -> None:
+        self._info = oracle.node_info
+        self._resolve = oracle.resolve
+        self._entries: Dict[int, TreeEntry] = {}
+
+    def entry(self, node_id: int) -> TreeEntry:
+        """``node_id``'s row, built on first use."""
+        entry = self._entries.get(node_id)
+        if entry is None:
+            entry = self._entries[node_id] = self._build(node_id)
+        return entry
+
+    def _build(self, node_id: int) -> TreeEntry:
+        recorder = _RecordingTopology(self._info, self._resolve)
+        internal = is_internal(recorder, node_id)
+        resolved = recorder.resolved
+        label = self._info(node_id).label
+        left = right = None
+        if internal:
+            # An internal node resolved both child ports on its way to
+            # the verdict, so reading them records nothing new.
+            left = resolved[(node_id, label.left_child)]
+            right = resolved[(node_id, label.right_child)]
+        return TreeEntry(
+            internal, left, right, label.color, tuple(resolved.items())
+        )
+
+
 def gather_kernel(oracle) -> Optional[CsrGatherKernel]:
     """The memoized CSR kernel behind ``oracle``, or ``None``.
 
@@ -280,4 +376,20 @@ def gather_kernel(oracle) -> Optional[CsrGatherKernel]:
     return None if factory is None else factory()
 
 
-__all__ = ["CsrGatherKernel", "gather_kernel"]
+def tree_table(oracle) -> Optional[TreeTable]:
+    """The memoized :class:`TreeTable` behind ``oracle``, or ``None``.
+
+    As with :func:`gather_kernel`, only a compiled oracle carries one;
+    ``None`` sends a random-walk batch back to the scalar engine.
+    """
+    factory = getattr(oracle, "tree_table", None)
+    return None if factory is None else factory()
+
+
+__all__ = [
+    "CsrGatherKernel",
+    "TreeEntry",
+    "TreeTable",
+    "gather_kernel",
+    "tree_table",
+]

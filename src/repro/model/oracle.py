@@ -118,6 +118,7 @@ class CompiledOracle:
     def __init__(self, instance: Instance) -> None:
         self._instance = instance
         self._kernel = None
+        self._tree_table = None
         frozen = instance.graph.freeze()
         self._frozen = frozen
         info: Dict[int, NodeInfo] = {}
@@ -212,6 +213,19 @@ class CompiledOracle:
 
             self._kernel = CsrGatherKernel(self)
         return self._kernel
+
+    def tree_table(self):
+        """The memoized tree-structure table the random-walk batches use.
+
+        Built lazily like :meth:`gather_kernel`, and filled one node at a
+        time as walks reach it; it reads no tape, so every run and trial
+        on this oracle shares it.
+        """
+        if self._tree_table is None:
+            from repro.model.batched import TreeTable
+
+            self._tree_table = TreeTable(self)
+        return self._tree_table
 
 
 def compile_oracle(instance: Instance) -> CompiledOracle:

@@ -406,22 +406,29 @@ class ProbeAlgorithm:
     def run(self, view: ProbeView):
         raise NotImplementedError
 
-    def run_node_batch(self, oracle, nodes):
-        """Optional batched whole-run fast path; ``None`` = unsupported.
+    def run_node_batch(self, oracle, nodes, tapes=None):
+        """Optional batched run fast path; ``None`` = unsupported.
 
         Implementations must return, for the given start nodes in order,
         exactly the ``(node, output, CostProfile)`` triples that per-node
-        :func:`execute_at` calls would have produced — the dispatcher
+        :func:`execute_at` calls would have produced, each with its own
+        profile object — the dispatcher
         (``repro.exec.backends._execute_nodes``) treats the batch as a
         drop-in replacement and the equivalence suites enforce bitwise
-        identity.  Only ever invoked for deterministic, unbudgeted runs
-        (no tape store, no volume/query truncation).  Full-gather
-        algorithms implement it over the flat-array CSR kernel
-        (:mod:`repro.model.batched`); the cycle algorithms over one
-        scalar execution, whose profile every start node of a
-        port-uniform cycle shares, and one pass over the ring.
-        Returning ``None`` — the default, and the right answer whenever
-        the batch's argument does not cover ``oracle`` and ``nodes`` —
+        identity.  Only ever invoked for unbudgeted runs on the
+        incremental engine (no volume/query truncation).  ``tapes`` is
+        the run's :class:`~repro.model.randomness.TapeStore` (``None``
+        for a deterministic algorithm); a randomized batch reads its
+        bits there, in the scalar order, so the store ends as the scalar
+        loop would leave it, and decides to return ``None`` before it
+        reads any.  Full-gather algorithms implement it over the
+        flat-array CSR kernel (:mod:`repro.model.batched`); the cycle
+        algorithms over one scalar execution, whose profile every start
+        node of a port-uniform cycle shares, and one pass over the ring;
+        the random-walk leaf-coloring algorithms over the compiled
+        oracle's tree table, one walk per start node.  Returning
+        ``None`` — the default, and the right answer whenever the
+        batch's argument does not cover ``oracle`` and ``nodes`` —
         selects the scalar engine.
         """
         return None

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
 from repro.graphs.labelings import Instance
+from repro.graphs.tree_structure import InstanceTopology
 from repro.model.implicit import (
     MATERIALIZE_LIMIT,
     InstanceSource,
@@ -144,6 +145,28 @@ class SolveReport:
         return self.run.max_distance
 
 
+def validation_topology(instance: InstanceSource) -> InstanceTopology:
+    """The :class:`InstanceTopology` :func:`solve_and_check` validates on.
+
+    Problem checkers are whole-graph passes, so an
+    :class:`~repro.model.implicit.InstanceSpec` is materialized here —
+    which bounds validation to materializable sizes.  Giant-n specs
+    belong in :func:`run_algorithm` (cost measurement over explicit node
+    selections), not in :func:`solve_and_check`.
+    """
+    source = _coerce_source(instance)
+    if isinstance(source, InstanceSpec):
+        if source.n > MATERIALIZE_LIMIT:
+            raise ValueError(
+                f"solve_and_check validates against the whole graph and "
+                f"cannot check {source!r} (n={source.n} > "
+                f"{MATERIALIZE_LIMIT}); use run_algorithm with an "
+                "explicit node selection for giant-n cost measurements"
+            )
+        source = source.materialize()
+    return InstanceTopology(source)
+
+
 def solve_and_check(
     problem,
     instance: InstanceSource,
@@ -152,34 +175,28 @@ def solve_and_check(
     max_volume: Optional[int] = None,
     max_queries: Optional[int] = None,
     backend=None,
+    topology: Optional[InstanceTopology] = None,
 ) -> SolveReport:
     """Run the algorithm on the full instance and verify its output.
 
-    Problem checkers are whole-graph passes, so an
-    :class:`~repro.model.implicit.InstanceSpec` is materialized for the
-    validation step — which bounds this entry point to materializable
-    sizes.  Giant-n specs belong in :func:`run_algorithm` (cost
-    measurement over explicit node selections), not here.
+    The output is validated through ``topology``, which defaults to
+    :func:`validation_topology` of ``instance`` (built before the run, so
+    a spec too large to validate is refused before it executes).  A
+    caller that checks many runs on one instance — a fixed-instance trial
+    batch — builds it once and passes it to every call: the instance is
+    then materialized, and each label and port row read, once.
     """
-    source = _coerce_source(instance)
-    if isinstance(source, InstanceSpec) and source.n > MATERIALIZE_LIMIT:
-        raise ValueError(
-            f"solve_and_check validates against the whole graph and "
-            f"cannot check {source!r} (n={source.n} > "
-            f"{MATERIALIZE_LIMIT}); use run_algorithm with an "
-            "explicit node selection for giant-n cost measurements"
-        )
+    if topology is None:
+        topology = validation_topology(instance)
     run = run_algorithm(
-        source,
+        instance,
         algorithm,
         seed=seed,
         max_volume=max_volume,
         max_queries=max_queries,
         backend=backend,
     )
-    if isinstance(source, InstanceSpec):
-        source = source.materialize()
-    violations = problem.validate(source, run.outputs)
+    violations = problem.validate(topology.instance, run.outputs, topology)
     return SolveReport(run=run, valid=not violations, violations=violations)
 
 

@@ -40,8 +40,10 @@ class CycleColoring(LCLProblem):
             return [Violation(node, "alphabet", f"output {out!r} not a color")]
         return []
 
-    def validate(self, instance: Instance, outputs) -> List[Violation]:
-        violations = super().validate(instance, outputs)
+    def validate(
+        self, instance: Instance, outputs, topology=None
+    ) -> List[Violation]:
+        violations = super().validate(instance, outputs, topology)
         for node in instance.graph.nodes():
             for nbr in instance.graph.neighbors(node):
                 if node < nbr and outputs.get(node) == outputs.get(nbr):
@@ -69,8 +71,10 @@ class MaximalIndependentSet(LCLProblem):
             return [Violation(node, "alphabet", "output must be 0/1")]
         return []
 
-    def validate(self, instance: Instance, outputs) -> List[Violation]:
-        violations = super().validate(instance, outputs)
+    def validate(
+        self, instance: Instance, outputs, topology=None
+    ) -> List[Violation]:
+        violations = super().validate(instance, outputs, topology)
         for node in instance.graph.nodes():
             nbrs = instance.graph.neighbors(node)
             if outputs.get(node) == 1:
@@ -109,8 +113,10 @@ class TwoColoring(LCLProblem):
             return [Violation(node, "alphabet", "output must be 0/1")]
         return []
 
-    def validate(self, instance: Instance, outputs) -> List[Violation]:
-        violations = super().validate(instance, outputs)
+    def validate(
+        self, instance: Instance, outputs, topology=None
+    ) -> List[Violation]:
+        violations = super().validate(instance, outputs, topology)
         for node in instance.graph.nodes():
             for nbr in instance.graph.neighbors(node):
                 if node < nbr and outputs.get(node) == outputs.get(nbr):

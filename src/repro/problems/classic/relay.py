@@ -32,7 +32,9 @@ class RelayProblem(LCLProblem):
     def check_node(self, topology, node, outputs) -> List[Violation]:
         return []  # all constraints are global; see validate()
 
-    def validate(self, instance: Instance, outputs) -> List[Violation]:
+    def validate(
+        self, instance: Instance, outputs, topology=None
+    ) -> List[Violation]:
         violations: List[Violation] = []
         pairing: Dict[int, int] = instance.meta["pairing"]
         for u_leaf, v_leaf in pairing.items():

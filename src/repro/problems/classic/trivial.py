@@ -47,8 +47,8 @@ class DegreeParity(LCLProblem):
             return [Violation(node, "alphabet", "output must be 0/1")]
         return []
 
-    def validate(self, instance, outputs) -> List[Violation]:
-        violations = super().validate(instance, outputs)
+    def validate(self, instance, outputs, topology=None) -> List[Violation]:
+        violations = super().validate(instance, outputs, topology)
         for node in instance.graph.nodes():
             expected = instance.graph.degree(node) % 2
             if outputs.get(node) not in (0, 1):

@@ -1,5 +1,7 @@
 """Tests for the instance generators."""
 
+import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -27,8 +29,9 @@ from repro.graphs.generators import (
     random_regular_instance,
     random_tree_instance,
     relay_instance,
+    tree_labeling_for,
 )
-from repro.graphs.labelings import BLUE, RED
+from repro.graphs.labelings import BLUE, COLORS, RED, Instance
 
 
 class TestBuilders:
@@ -103,6 +106,87 @@ class TestLeafColoringInstances:
         assert all(
             a.label(v).color == b.label(v).color for v in a.graph.nodes()
         )
+
+
+def _quadratic_leaf_coloring_instance(depth, leaf_color, rng):
+    """``leaf_coloring_instance`` as it was written before its leaf set
+    was built once: the set is rebuilt for every node (Θ(n²))."""
+    topo = complete_binary_tree(depth)
+    labeling = tree_labeling_for(topo)
+    for node in topo.graph.nodes():
+        if node in set(topo.leaves):
+            labeling[node].color = (
+                leaf_color if leaf_color is not None else rng.choice(COLORS)
+            )
+        else:
+            labeling[node].color = RED
+    return Instance(
+        graph=topo.graph,
+        labeling=labeling,
+        name=f"leaf-coloring-complete-d{depth}",
+        meta={"depth": depth, "root": topo.root, "leaves": list(topo.leaves)},
+    )
+
+
+def _snapshot(instance, rng):
+    """Name, meta, every label in insertion order, and the RNG state."""
+    labels = [
+        (node, dataclasses.astuple(instance.labeling[node]))
+        for node in instance.labeling.nodes()
+    ]
+    return (instance.name, sorted(instance.meta.items()), labels,
+            rng.getstate())
+
+
+def _snapshot_digest(depth, leaf_color):
+    rng = random.Random(f"leaf-coloring-instance:{depth}")
+    instance = leaf_coloring_instance(depth, leaf_color=leaf_color, rng=rng)
+    snapshot = repr(_snapshot(instance, rng)).encode()
+    return hashlib.blake2b(snapshot, digest_size=8).hexdigest()
+
+
+# ``_snapshot_digest`` of the quadratic construction, depths 1-12: the
+# labelings, name, meta and RNG state after the call that the linear
+# construction must reproduce.
+QUADRATIC_DIGESTS = {
+    None: {
+        1: "9e1cfd35ba55a39a", 2: "9c617e4bea5d7437",
+        3: "d7e476e16be11885", 4: "51164fc964f24653",
+        5: "6784bd925b2d515d", 6: "1b53553c4529bc33",
+        7: "0b81102c61a8c088", 8: "b1f9dcdda6109354",
+        9: "94f563542f9eb72b", 10: "d0ccf2b5e58e9cae",
+        11: "e182cc8bee4e4975", 12: "19defbe5f6faceb4",
+    },
+    BLUE: {
+        1: "3b7fb404a27679fb", 2: "2cb2198985960a6c",
+        3: "bf6b752608e809cc", 4: "3c65acab5d30f9c1",
+        5: "d9ab625e19f7de7b", 6: "1b8d2ab7b177df28",
+        7: "7d4c354a517a9606", 8: "9bf14163acfc930d",
+        9: "a1a0d66cbe003b36", 10: "ad4b353269d081ab",
+        11: "337f50d93e8bd937", 12: "312bf367d78ae290",
+    },
+}
+
+
+class TestLeafColoringConstruction:
+    """The leaf set is built once; the RNG draws in the same order."""
+
+    @pytest.mark.parametrize("leaf_color", [None, BLUE])
+    @pytest.mark.parametrize("depth", range(1, 11))
+    def test_matches_quadratic_construction(self, depth, leaf_color):
+        old_rng = random.Random(depth)
+        old = _quadratic_leaf_coloring_instance(depth, leaf_color, old_rng)
+        new_rng = random.Random(depth)
+        new = leaf_coloring_instance(depth, leaf_color=leaf_color, rng=new_rng)
+        assert _snapshot(new, new_rng) == _snapshot(old, old_rng)
+
+    @pytest.mark.parametrize("leaf_color", [None, BLUE])
+    @pytest.mark.parametrize("depth", range(1, 13))
+    def test_pinned_digests(self, depth, leaf_color):
+        # Depths 11 and 12 cost the quadratic construction 0.2-0.7 s, so
+        # its output is pinned here instead of rebuilt.
+        expected = QUADRATIC_DIGESTS[leaf_color][depth]
+        assert _snapshot_digest(depth, leaf_color) == expected
 
 
 class TestBalancedTreeInstances:
