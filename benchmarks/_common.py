@@ -11,7 +11,7 @@ objects executed by the sweep orchestrator, without a result store:
 benches always re-measure.  Two environment knobs:
 
 * ``REPRO_BENCH_BACKEND`` — execution backend for every sweep
-  (``serial`` default; ``process`` / ``process:N`` / ``batch``);
+  (``serial`` default; ``reference`` / ``process`` / ``process:N``);
 * ``REPRO_BENCH_PROGRESS`` — print one line per measured grid point.
 """
 

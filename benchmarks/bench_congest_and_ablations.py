@@ -9,8 +9,9 @@
 
 The CONGEST-vs-probe comparisons are sweep pairs sharing one memoized
 composite measurement per size; the ablations dispatch their repeated
-runs through a :class:`BatchBackend` so the instance oracle is built
-once, not once per trial.
+runs through one :class:`SerialBackend`, which keeps the oracle of the
+instance it ran last, so the instance oracle is built once, not once per
+trial.
 """
 
 import math
@@ -32,7 +33,7 @@ from repro.algorithms.balanced_tree_algs import (
 from repro.algorithms.classic_algs import RelayCongest, RelayProbeSolver
 from repro.algorithms.hierarchical_algs import WaypointHTHC
 from repro.algorithms.leaf_coloring_algs import RWtoLeaf, SecretRWtoLeaf
-from repro.exec.backends import BatchBackend
+from repro.exec.backends import SerialBackend
 from repro.graphs.generators import (
     balanced_tree_instance,
     hard_leaf_coloring_instance,
@@ -157,20 +158,20 @@ def test_ablation_waypoint_probability(benchmark):
         )
         problem = HierarchicalTHC(2)
         probes = list(range(1, 8 * m + 1, 8))
-        batch = BatchBackend()  # one oracle for all factor × seed runs
+        serial = SerialBackend()  # one oracle for all factor × seed runs
         for factor in (0.01, 0.05, 0.2, 1.0, 2.0):
             failures = 0
             volumes = []
             for seed in range(5):
                 algo = WaypointHTHC(2, factor=factor)
                 report = solve_and_check(
-                    problem, inst, algo, seed=seed, backend=batch
+                    problem, inst, algo, seed=seed, backend=serial
                 )
                 if not report.valid:
                     failures += 1
                 volumes.append(
                     run_algorithm(
-                        inst, algo, seed=seed, nodes=probes, backend=batch
+                        inst, algo, seed=seed, nodes=probes, backend=serial
                     ).max_volume
                 )
             print(
@@ -207,14 +208,14 @@ def test_ablation_randomness_models(benchmark):
             ("private", RWtoLeaf),
             ("secret", SecretRWtoLeaf),
         ):
-            with BatchBackend() as batch:
+            with SerialBackend() as serial:
                 promise_ok[label] = round(trials * success_probability(
                     problem, _promise_instance, algo_factory(), trials,
-                    backend=batch,
+                    backend=serial,
                 ))
                 general_ok[label] = round(trials * success_probability(
                     problem, _general_instance, algo_factory(), trials,
-                    backend=batch,
+                    backend=serial,
                 ))
         for label in ("private", "secret"):
             print(

@@ -16,11 +16,12 @@ stacked on top of them:
 * ``dist_maintenance`` — an exploration that polls ``distance_cost()``
   after every query, incremental labels vs BFS-per-invalidation;
 * ``parallel_scaling`` — the batched full-gather run fanned out over
-  :class:`~repro.exec.backends.ProcessPoolBackend` at 1/2/4 workers with
-  the shared-memory and pickle transports, including the one-off
-  publish+attach overhead the shared-memory path pays;
+  :class:`~repro.exec.backends.ProcessPoolBackend` at 1/2/4 workers (a
+  node run of a materialized instance, so the pool ships it by shared
+  memory; one worker runs it in-process), including the one-off
+  publish+attach overhead that path pays;
 * ``trial_batch`` — a fixed-instance Monte-Carlo trial batch on the
-  serial backend vs both process-pool transports;
+  serial backend vs a 2-worker pool (trial batches ship by pickle);
 * ``fault_recovery`` — the cost of the PR 8 supervision layer: the same
   pooled workload with supervision off vs on (gated: < 5% overhead when
   nothing fails) and the wall-time of recovering from one injected
@@ -51,7 +52,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import pickle
 import platform
 import sys
 import time
@@ -69,7 +69,7 @@ from repro.exec.backends import (
 from repro.graphs.builders import complete_binary_tree, path_graph
 from repro.graphs.labelings import Instance, Labeling
 from repro.model.batched import gather_kernel
-from repro.model.oracle import CompiledOracle, StaticOracle, compile_oracle
+from repro.model.oracle import CompiledOracle, StaticOracle
 from repro.model.probe import CostProfile, ProbeAlgorithm, ProbeView
 from repro.model.randomness import RandomnessContext, RandomnessModel
 from repro.model.runner import run_algorithm
@@ -316,27 +316,19 @@ def bench_dist_maintenance(n: int, repeats: int) -> Dict[str, object]:
 # ----------------------------------------------------------------------
 # 4. parallel scaling: batched full-gather over the process pool
 # ----------------------------------------------------------------------
-def _measure_attach_overhead(instance: Instance, transport: str) -> float:
-    """One worker's per-run instance acquisition cost for a transport.
+def _measure_attach_overhead(instance: Instance) -> float:
+    """One worker's per-run instance acquisition cost over shared memory.
 
-    Shared memory: publish + zero-copy attach + oracle compile (paid once
-    per worker per run).  Pickle: serialize + deserialize + oracle compile
-    (paid once per *chunk* on the legacy path — the per-run number shown
-    here is its lower bound).
+    Publish + zero-copy attach + oracle compile (paid once per worker
+    per run).
     """
-    if transport == "shm":
-        started = time.perf_counter()
-        handle = shm.publish_instance(instance)
-        attachment = shm.attach_instance(handle)
-        elapsed = time.perf_counter() - started
-        attachment.close()
-        shm.unpublish(handle)
-        return elapsed
     started = time.perf_counter()
-    payload = pickle.dumps(instance)
-    clone = pickle.loads(payload)
-    compile_oracle(clone)
-    return time.perf_counter() - started
+    handle = shm.publish_instance(instance)
+    attachment = shm.attach_instance(handle)
+    elapsed = time.perf_counter() - started
+    attachment.close()
+    shm.unpublish(handle)
+    return elapsed
 
 
 def bench_parallel_scaling(
@@ -344,7 +336,7 @@ def bench_parallel_scaling(
     repeats: int,
     workers_grid: List[int],
 ) -> List[Dict[str, object]]:
-    """Batched full-gather fan-out: workers x transport grid.
+    """Batched full-gather fan-out over a grid of worker counts.
 
     Baselines are measured in-process: ``scalar_serial_s`` (compiled
     scalar engine — the pre-PR-6 state every ``speedup`` divides by) and
@@ -368,42 +360,38 @@ def bench_parallel_scaling(
     )
     rows: List[Dict[str, object]] = []
     n = instance.graph.num_nodes
-    for transport in ("shm", "pickle"):
-        attach_overhead_s = _measure_attach_overhead(instance, transport)
-        for workers in workers_grid:
-            with ProcessPoolBackend(
-                workers=workers, shared_memory=(transport == "shm")
-            ) as pool:
-                pooled = run_algorithm(instance, batched, backend=pool)
-                assert pooled.outputs == baseline_run.outputs
-                assert pooled.profiles == baseline_run.profiles
-                elapsed = best_of(
-                    repeats,
-                    lambda: timed(
-                        lambda: run_algorithm(
-                            instance, batched, backend=pool
-                        )
-                    ),
-                )
-            rows.append(
-                {
-                    "name": f"full_gather[{instance.name}]",
-                    "workers": workers,
-                    "transport": transport,
-                    "params": {"n": n, "executions": n},
-                    "time_s": elapsed,
-                    "scalar_serial_s": scalar_serial_s,
-                    "serial_batched_s": serial_batched_s,
-                    "attach_overhead_s": attach_overhead_s,
-                    "speedup": scalar_serial_s / elapsed,
-                    "speedup_vs_serial_batched": serial_batched_s / elapsed,
-                }
+    attach_overhead_s = _measure_attach_overhead(instance)
+    for workers in workers_grid:
+        with ProcessPoolBackend(workers=workers) as pool:
+            pooled = run_algorithm(instance, batched, backend=pool)
+            assert pooled.outputs == baseline_run.outputs
+            assert pooled.profiles == baseline_run.profiles
+            elapsed = best_of(
+                repeats,
+                lambda: timed(
+                    lambda: run_algorithm(instance, batched, backend=pool)
+                ),
             )
+        rows.append(
+            {
+                "name": f"full_gather[{instance.name}]",
+                "workers": workers,
+                # A one-worker pool runs the whole node list in-process.
+                "transport": "shm" if workers > 1 else "in-process",
+                "params": {"n": n, "executions": n},
+                "time_s": elapsed,
+                "scalar_serial_s": scalar_serial_s,
+                "serial_batched_s": serial_batched_s,
+                "attach_overhead_s": attach_overhead_s,
+                "speedup": scalar_serial_s / elapsed,
+                "speedup_vs_serial_batched": serial_batched_s / elapsed,
+            }
+        )
     return rows
 
 
 # ----------------------------------------------------------------------
-# 5. fixed-instance trial batches: serial vs pool transports
+# 5. fixed-instance trial batches: serial vs the pool
 # ----------------------------------------------------------------------
 def bench_trial_batch(trials: int, repeats: int) -> List[Dict[str, object]]:
     """A fixed-instance Monte-Carlo batch across dispatch strategies."""
@@ -435,22 +423,19 @@ def bench_trial_batch(trials: int, repeats: int) -> List[Dict[str, object]]:
             "speedup": 1.0,
         }
     ]
-    for transport in ("shm", "pickle"):
-        with ProcessPoolBackend(
-            workers=2, shared_memory=(transport == "shm")
-        ) as pool:
-            assert batch(pool) == baseline
-            elapsed = best_of(repeats, lambda: timed(lambda: batch(pool)))
-        rows.append(
-            {
-                "name": f"trial_batch[{instance.name}]",
-                "backend": "process:2",
-                "transport": transport,
-                "params": {"trials": trials, "n": instance.n},
-                "time_s": elapsed,
-                "speedup": serial_s / elapsed,
-            }
-        )
+    with ProcessPoolBackend(workers=2) as pool:
+        assert batch(pool) == baseline
+        elapsed = best_of(repeats, lambda: timed(lambda: batch(pool)))
+    rows.append(
+        {
+            "name": f"trial_batch[{instance.name}]",
+            "backend": "process:2",
+            "transport": "pickle",
+            "params": {"trials": trials, "n": instance.n},
+            "time_s": elapsed,
+            "speedup": serial_s / elapsed,
+        }
+    )
     return rows
 
 
@@ -486,7 +471,6 @@ def bench_fault_recovery(repeats: int) -> Dict[str, object]:
     def pooled(supervised: bool, injector=None):
         return ProcessPoolBackend(
             workers=2,
-            shared_memory=True,
             supervised=supervised,
             fault_injector=injector,
             retry=RetryPolicy(base_delay=0.01, max_delay=0.05),

@@ -2,8 +2,8 @@
 
 Runs the heaviest Table-1 workload (Hybrid-THC(2) full gather from every
 node — Θ(n) volume per start node, so Θ(n²) work) once per backend,
-checks the ProcessPoolBackend / BatchBackend results are **bitwise
-identical** to the serial reference, and reports wall-clock times.
+checks the ProcessPoolBackend result is **bitwise identical** to the
+SerialBackend reference, and reports wall-clock times.
 
 On a multi-core machine the process pool shows near-linear speedup; on a
 single core it only adds fork overhead — that is the point of the
@@ -17,11 +17,7 @@ import sys
 import time
 
 from repro.algorithms.hybrid_algs import HybridFullGather
-from repro.exec.backends import (
-    BatchBackend,
-    ProcessPoolBackend,
-    SerialBackend,
-)
+from repro.exec.backends import ProcessPoolBackend, SerialBackend
 from repro.graphs.generators import hybrid_thc_instance
 from repro.model.runner import run_algorithm
 
@@ -38,11 +34,7 @@ def main() -> None:
 
     results = {}
     timings = {}
-    backends = [
-        SerialBackend(),
-        BatchBackend(),
-        ProcessPoolBackend(workers=workers),
-    ]
+    backends = [SerialBackend(), ProcessPoolBackend(workers=workers)]
     for backend in backends:
         with backend:
             started = time.perf_counter()

@@ -16,7 +16,6 @@ from repro.corpus import (
 )
 from repro.exec.backends import (
     BackendSpec,
-    BatchBackend,
     ExecutionBackend,
     ProcessPoolBackend,
     SerialBackend,
@@ -89,7 +88,6 @@ __all__ = [
     "ALGORITHMS",
     "BackendSpec",
     "BalancedTree",
-    "BatchBackend",
     "ChaosReport",
     "FAMILIES",
     "FaultLog",

@@ -563,7 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(implicit-capable families only; nodes realized on demand)",
     )
     p_run.add_argument(
-        "--backend", help="serial | batch | process[:N] (default serial)"
+        "--backend", help="serial | reference | process[:N] (default serial)"
     )
     p_run.add_argument("--max-volume", type=int, default=None)
     p_run.add_argument("--max-queries", type=int, default=None)

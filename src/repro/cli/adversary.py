@@ -164,7 +164,7 @@ def add_adversary_arguments(sub) -> None:
     p_run.add_argument(
         "--backend",
         help="backend for the conformance re-run "
-        "(serial | reference | batch | process[:N])",
+        "(serial | reference | process[:N])",
     )
     p_run.add_argument(
         "--transcript", metavar="PATH",

@@ -11,7 +11,7 @@ writes a schema-versioned machine-readable artifact::
       "schema": "repro-bench",
       "schema_version": 2,
       "mode": "quick" | "full",
-      "backend": "serial" | "process:N" | "batch" | "reference",
+      "backend": "serial" | "process:N" | "reference",
       "oracle": "compiled" | "reference",
       "git_sha": "...", "python": "3.x.y", "generated": "...Z",
       "cells": [
@@ -870,7 +870,7 @@ def add_bench_arguments(sub) -> None:
     )
     p_bench.add_argument(
         "--backend",
-        help="serial | reference | batch | process[:N] (default serial; "
+        help="serial | reference | process[:N] (default serial; "
         "'reference' disables the compiled instance fast path)",
     )
     p_bench.add_argument(

@@ -8,8 +8,11 @@ must be **bitwise identical** to the fault-free serial run, and
 failure paths the plan exercised.  The plan is a pure value, so a
 failing seed reproduces the exact same fault schedule on re-run.
 
-``--quick`` runs the canned smoke matrix CI uses: both transports, two
-plan seeds, whole-instance and trial-batch workloads.
+``--quick`` runs the canned smoke matrix CI uses: two plan seeds on
+whole-instance runs and two on trial batches.  The pool picks each
+job's transport: plan seed 2 fails the first node run's shared-memory
+publish, so one node run takes its chunk faults on the pickle
+transport, and trial batches always ship by pickle.
 
 Exit codes: 0 every report OK, 1 any divergence or shm residue,
 2 usage error.
@@ -41,30 +44,22 @@ def _plan(args: argparse.Namespace, seed: int):
 
 
 def _quick_matrix(args: argparse.Namespace):
-    """The CI smoke matrix: transports × plan seeds × workloads."""
+    """The CI smoke matrix: plan seeds × workloads, as (plan, trials).
+
+    Node runs under plan seeds 1 and 2 (seed 2 fails the shared-memory
+    publish, so that run's chunks go by pickle), then two trial batches
+    of 12 (the Monte-Carlo shape, always pickle).
+    """
     from repro.faults.plan import FaultPlan
 
-    jobs = []
-    for transport in ("shm", "pickle"):
-        for plan_seed in (1, 2):
-            jobs.append(
-                (
-                    transport,
-                    FaultPlan(
-                        seed=plan_seed,
-                        rate=0.5,
-                        max_faults=3,
-                        delay_s=args.delay,
-                    ),
-                    None,
-                )
-            )
-    # One trial-batch workload per transport (the Monte-Carlo shape).
-    jobs.append((("shm"), FaultPlan(seed=3, rate=0.5, max_faults=3,
-                                    delay_s=args.delay), 12))
-    jobs.append((("pickle"), FaultPlan(seed=4, rate=0.5, max_faults=3,
-                                       delay_s=args.delay), 12))
-    return jobs
+    return [
+        (
+            FaultPlan(seed=plan_seed, rate=0.5, max_faults=3,
+                      delay_s=args.delay),
+            trials,
+        )
+        for plan_seed, trials in ((1, None), (2, None), (3, 12), (4, 12))
+    ]
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
@@ -84,22 +79,12 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     except Exception as exc:  # bad --param values surface here
         return _fail(f"family {family.name!r} rejected param {param!r}: {exc}")
     seed = algorithm.seed if args.seed is None else args.seed
-    if args.transport not in ("shm", "pickle", "both"):
-        return _fail(
-            f"unknown transport {args.transport!r} (shm|pickle|both)"
-        )
     try:
         if args.quick:
             jobs = _quick_matrix(args)
         else:
-            transports = (
-                ("shm", "pickle")
-                if args.transport == "both"
-                else (args.transport,)
-            )
             jobs = [
-                (transport, _plan(args, plan_seed), args.trials)
-                for transport in transports
+                (_plan(args, plan_seed), args.trials)
                 for plan_seed in range(
                     args.plan_seed, args.plan_seed + args.plans
                 )
@@ -107,14 +92,13 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     except ValueError as exc:  # bad plan parameters (rate, kinds, ...)
         return _fail(str(exc))
     reports = []
-    for transport, plan, trials in jobs:
+    for plan, trials in jobs:
         report = run_chaos(
             problem.make(),
             instance,
             algorithm.make(),
             plan=plan,
             workers=args.workers,
-            transport=transport,
             seed=seed,
             trials=trials,
             chunk_size=args.chunk_size,
@@ -172,10 +156,6 @@ def add_chaos_arguments(sub) -> None:
         help="process-pool workers for the chaotic run (default 2)",
     )
     p_chaos.add_argument(
-        "--transport", choices=["shm", "pickle", "both"], default="shm",
-        help="instance transport(s) to torture (default shm)",
-    )
-    p_chaos.add_argument(
         "--chunk-size", type=int, default=2,
         help="chunk size — small values give faults distinct units to "
         "hit even on tiny instances (default 2)",
@@ -219,8 +199,9 @@ def add_chaos_arguments(sub) -> None:
     )
     p_chaos.add_argument(
         "--quick", action="store_true",
-        help="the CI smoke matrix: shm+pickle transports, two plan "
-        "seeds each, plus a trial-batch workload per transport",
+        help="the CI smoke matrix: two plan seeds on whole-instance "
+        "runs (one goes by pickle after a failed publish) and two on "
+        "trial batches",
     )
     p_chaos.add_argument("--json", action="store_true")
     p_chaos.set_defaults(func=cmd_chaos)

@@ -179,7 +179,7 @@ def add_mc_arguments(sub) -> None:
         "(implicit-capable families only)",
     )
     p_mc.add_argument(
-        "--backend", help="serial | reference | batch | process[:N]"
+        "--backend", help="serial | reference | process[:N]"
     )
     p_mc.add_argument(
         "--min-trials", type=int, default=None,

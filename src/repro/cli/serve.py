@@ -29,7 +29,7 @@ def _serve_config(args: argparse.Namespace):
     return ServeConfig(
         host=args.host,
         port=args.port,
-        backend=args.backend or "batch",
+        backend=args.backend or "serial",
         store=args.store,
         queue_limit=args.queue_limit,
         default_deadline=args.deadline,
@@ -171,7 +171,7 @@ def serving_record(
             if store_dir
             else str(Path(tmp) / "serve_store.sqlite")
         )
-        server_config = ServeConfig(port=0, backend="batch", store=store)
+        server_config = ServeConfig(port=0, backend="serial", store=store)
         with ServerThread(server_config) as server:
             host, port = server.address
             if progress is not None:
@@ -219,8 +219,8 @@ def add_serve_arguments(sub) -> None:
     )
     p_serve.add_argument(
         "--backend",
-        help="shared execution backend: serial | batch | process[:N] "
-        "(default batch, the oracle-caching one)",
+        help="shared execution backend: serial | reference | process[:N] "
+        "(default serial)",
     )
     p_serve.add_argument(
         "--store", metavar="PATH", default=None,

@@ -1,13 +1,12 @@
 """Execution subsystem: pluggable backends and sweep orchestration.
 
 The science code (model / problems / algorithms) defines what a run *is*;
-this package decides how runs are *dispatched* — serially, over a process
-pool, or batched with shared oracles — and orchestrates whole sweeps of
-runs declaratively.  See README.md ("Choosing a backend") for the guide.
+this package decides how runs are *dispatched* — serially or over a
+process pool — and orchestrates whole sweeps of runs declaratively.
+See README.md ("Choosing a backend") for the guide.
 """
 
 from repro.exec.backends import (
-    BatchBackend,
     ExecutionBackend,
     FixedInstanceFactory,
     ProcessPoolBackend,
@@ -34,7 +33,6 @@ from repro.exec.sweep import (
 )
 
 __all__ = [
-    "BatchBackend",
     "ExecutionBackend",
     "FixedInstanceFactory",
     "InstanceFamily",

@@ -2,20 +2,20 @@
 
 The model layer defines *what* one per-node execution is
 (:func:`~repro.model.probe.execute_at`); this module defines *how* the
-executions of a whole-instance run are dispatched.  Three strategies:
+executions of a whole-instance run are dispatched.  Two strategies:
 
 * :class:`SerialBackend` — one process, nodes in iteration order.  This
   is the default everywhere and is what the paper's definitions
   describe (``SerialBackend(compiled=False)`` is the uncompiled
-  *reference path*, see below).
-* :class:`ProcessPoolBackend` — chunked fan-out of start nodes over a
-  ``concurrent.futures`` process pool.  Results are merged back in the
-  original node order, so the returned :class:`~repro.model.runner.RunResult`
-  is **bitwise identical** to the serial one.
-* :class:`BatchBackend` — serial execution with an oracle cache, so
-  repeated runs over the same instance (ablations, the trial loop of
-  :func:`~repro.model.runner.success_probability`) do not rebuild the
-  :class:`~repro.model.oracle.StaticOracle` each time.
+  *reference path*, see below).  It keeps the oracle of the instance it
+  ran last, so repeated runs over one instance (trial batches,
+  ablations, the trial loop of
+  :func:`~repro.model.runner.success_probability`) build it once.
+* :class:`ProcessPoolBackend` — chunked fan-out of start nodes (or of
+  trials) over a ``concurrent.futures`` process pool.  Results are
+  merged back in the original order, so the returned
+  :class:`~repro.model.runner.RunResult` is **bitwise identical** to
+  the serial one.
 
 Why parallel fan-out is sound here: a node's random tape is seeded by the
 string ``repro-tape:{seed}:{node_id}`` (see
@@ -26,7 +26,7 @@ own :class:`TapeStore` from the same seed and observes exactly the bits
 the shared serial store would have produced.
 
 Every backend **auto-compiles** static instances by default: the instance
-is compiled once per whole-instance run (and once per
+is compiled once per run of a new instance (so once per
 :meth:`~ExecutionBackend.success_probability` trial batch when the
 factory keeps returning the same instance) into a
 :class:`~repro.model.oracle.CompiledOracle`, and the per-node executions
@@ -48,14 +48,16 @@ to the scalar serial semantics, both enforced by the equivalence suites):
   pass over its ring, and the randomized random-walk leaf-coloring
   algorithms walk the compiled oracle's tree table, reading the run's
   own tape store.
-* **Zero-copy shared memory** — :class:`ProcessPoolBackend` publishes
-  the frozen instance once per dispatch into a
-  :mod:`multiprocessing.shared_memory` segment (:mod:`repro.exec.shm`)
-  and ships only an O(1) :class:`~repro.exec.shm.ShmInstanceHandle` plus
-  chunk indices to workers, which attach zero-copy and cache the
-  compiled oracle per process.  ``shared_memory=False`` (or the spec
-  suffix ``"process:N:pickle"``) preserves the whole-instance-per-chunk
-  pickle path bit-for-bit; the segment is unlinked in a ``finally`` on
+* **Zero-copy shared memory** — for a node run of a materialized
+  instance, :class:`ProcessPoolBackend` publishes the frozen instance
+  once per dispatch into a :mod:`multiprocessing.shared_memory` segment
+  (:mod:`repro.exec.shm`) and ships only an O(1)
+  :class:`~repro.exec.shm.ShmInstanceHandle` plus chunk indices to
+  workers, which attach zero-copy and cache the compiled oracle per
+  process.  Everything else — an :class:`~repro.model.implicit.InstanceSpec`
+  (already an O(1) payload), a trial batch, the reference engine, and
+  any dispatch whose publish or attach failed — ships by pickle, with
+  bit-identical results.  The segment is unlinked in a ``finally`` on
   every dispatch, with an ``atexit`` backstop.
 
 One shortcut sits in the trial loop every backend and pool worker runs:
@@ -82,12 +84,11 @@ import os
 import pickle
 import time
 import warnings
-from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.exec import shm as shm_layer
 from repro.faults.plan import ShmAttachError, wrap_payload
@@ -173,9 +174,16 @@ def _execute_nodes(
 
 
 def _run_chunk(payload: bytes) -> List[Tuple[int, object, CostProfile]]:
-    """Worker entry point: one contiguous chunk of start nodes."""
+    """Worker entry point: one contiguous chunk of start nodes.
+
+    The source is the pickled instance (or spec) itself, or the O(1)
+    :class:`~repro.exec.shm.ShmInstanceHandle` of a published one; an
+    attachment (zero-copy CSR views + compiled oracle) is cached per
+    worker process, so every chunk after a worker's first is pure
+    dispatch.
+    """
     (
-        instance,
+        source,
         algorithm,
         nodes,
         seed,
@@ -183,7 +191,10 @@ def _run_chunk(payload: bytes) -> List[Tuple[int, object, CostProfile]]:
         max_queries,
         compiled,
     ) = pickle.loads(payload)
-    oracle = _make_oracle(instance, compiled)
+    if isinstance(source, shm_layer.ShmInstanceHandle):
+        _, oracle = shm_layer.attached_instance(source)
+    else:
+        oracle = _make_oracle(source, compiled)
     return _execute_nodes(
         oracle,
         algorithm,
@@ -195,43 +206,16 @@ def _run_chunk(payload: bytes) -> List[Tuple[int, object, CostProfile]]:
     )
 
 
-def _run_chunk_shm(payload: bytes) -> List[Tuple[int, object, CostProfile]]:
-    """Worker entry point: a chunk against a shared-memory instance.
-
-    The payload carries an O(1) :class:`~repro.exec.shm.ShmInstanceHandle`
-    instead of the pickled instance; the attachment (zero-copy CSR views
-    + compiled oracle) is cached per worker process, so every chunk after
-    a worker's first is pure dispatch.
-    """
-    (
-        handle,
-        algorithm,
-        nodes,
-        seed,
-        max_volume,
-        max_queries,
-    ) = pickle.loads(payload)
-    _, oracle = shm_layer.attached_instance(handle)
-    return _execute_nodes(
-        oracle,
-        algorithm,
-        nodes,
-        seed,
-        max_volume,
-        max_queries,
-        distance_mode="incremental",
-    )
-
-
 class FixedInstanceFactory:
     """``instance_factory(trial) -> instance`` for a fixed instance.
 
     Module-level and attribute-only, so it pickles into process-pool
     workers (a lambda closing over the instance would not).  Lives here
     (rather than the Monte-Carlo engine that popularized it) so the
-    process-pool backend can recognize fixed-instance trial batches and
-    publish the one instance to shared memory; re-exported unchanged
-    from :mod:`repro.montecarlo.engine`.
+    trial loop can recognize fixed-instance batches — it validates them
+    through one topology and reuses a trial that read no random bit —
+    and the process pool can run a deterministic one in-process;
+    re-exported unchanged from :mod:`repro.montecarlo.engine`.
     """
 
     def __init__(self, instance) -> None:
@@ -313,8 +297,8 @@ def _run_trials(payload: bytes) -> List[TrialOutcome]:
         max_queries,
         compiled,
     ) = pickle.loads(payload)
-    # Amortize oracle compilation if the factory repeats an instance.
-    with BatchBackend(compiled=compiled) as backend:
+    # One serial backend compiles a repeated instance once per chunk.
+    with SerialBackend(compiled=compiled) as backend:
         return _trial_outcomes(
             backend,
             problem,
@@ -325,35 +309,6 @@ def _run_trials(payload: bytes) -> List[TrialOutcome]:
             max_volume,
             max_queries,
         )
-
-
-def _run_trials_shm(payload: bytes) -> List[TrialOutcome]:
-    """Worker entry point: fixed-instance trials via shared memory.
-
-    Only dispatched for :class:`FixedInstanceFactory` batches, so the one
-    attached instance (and its per-worker cached compiled oracle) serves
-    every trial of every chunk this worker sees for the run.
-    """
-    (
-        handle,
-        problem,
-        algorithm,
-        trial_indices,
-        base_seed,
-        max_volume,
-        max_queries,
-    ) = pickle.loads(payload)
-    instance, oracle = shm_layer.attached_instance(handle)
-    return _trial_outcomes(
-        _PinnedOracleBackend(oracle),
-        problem,
-        FixedInstanceFactory(instance),
-        algorithm,
-        trial_indices,
-        base_seed,
-        max_volume,
-        max_queries,
-    )
 
 
 class ExecutionBackend(abc.ABC):
@@ -444,7 +399,7 @@ class ExecutionBackend(abc.ABC):
         )
         return sum(o.valid for o in outcomes) / trials
 
-    # Backends that hold external resources (pools) override these.
+    # Backends that hold resources (a pool, a kept oracle) override these.
     def close(self) -> None:
         """Release any held resources (idempotent)."""
 
@@ -475,16 +430,25 @@ class ExecutionBackend(abc.ABC):
 class SerialBackend(ExecutionBackend):
     """One process, nodes in order: the paper's execution semantics.
 
-    ``compiled=True`` (the default) compiles the instance's oracle once
-    per whole-instance run and uses the incremental-DIST engine;
-    ``compiled=False`` is the *reference path* — ``StaticOracle`` plus
-    BFS-on-demand ``DIST`` — with bitwise-identical results.
+    ``compiled=True`` (the default) uses the compiled oracle and the
+    incremental-DIST engine; ``compiled=False`` is the *reference path*
+    — ``StaticOracle`` plus BFS-on-demand ``DIST`` — with
+    bitwise-identical results.
+
+    The backend keeps the oracle of the instance it ran last and reuses
+    it while the next run's source is the same object, so callers that
+    rerun one instance (trial batches, adaptive Monte-Carlo batches,
+    ablations, a pool worker's trial chunk) build it once; a run of
+    another instance replaces it, and :meth:`close` drops it.  A kept
+    oracle holds its instance alive, which also keeps the identity check
+    sound.
     """
 
     name = "serial"
 
     def __init__(self, compiled: bool = True) -> None:
         self.compiled = compiled
+        self._oracle = None
         if not compiled:
             self.name = "reference"
 
@@ -515,110 +479,14 @@ class SerialBackend(ExecutionBackend):
         )
         return self._assemble(instance, algorithm, triples)
 
-    def run_trial_batch(
-        self,
-        problem,
-        instance_factory,
-        algorithm: ProbeAlgorithm,
-        trial_indices: Sequence[int],
-        *,
-        base_seed: int = 0,
-        max_volume: Optional[int] = None,
-        max_queries: Optional[int] = None,
-    ) -> List[TrialOutcome]:
-        """Trial batch with the oracle compiled once per batch.
-
-        A fixed-instance factory (the Proposition 3.12 shape) would
-        otherwise recompile the same instance every trial; routing the
-        batch through a transient :class:`BatchBackend` compiles it once.
-        """
-        with BatchBackend(compiled=self.compiled) as batch:
-            return _trial_outcomes(
-                batch,
-                problem,
-                instance_factory,
-                algorithm,
-                list(trial_indices),
-                base_seed,
-                max_volume,
-                max_queries,
-            )
-
     def _oracle_for(self, instance):
-        return _make_oracle(instance, self.compiled)
-
-
-class BatchBackend(SerialBackend):
-    """Serial execution with an oracle cache for repeated instances.
-
-    ``success_probability`` with a fixed-instance factory, and ablation
-    loops that re-run many algorithms/seeds on one instance, construct a
-    fresh :class:`StaticOracle` per call under :class:`SerialBackend`;
-    this backend builds it once per distinct instance and reuses it.
-    """
-
-    name = "batch"
-
-    def __init__(self, max_cached: int = 64, compiled: bool = True) -> None:
-        super().__init__(compiled=compiled)
-        self.name = "batch"
-        if max_cached < 1:
-            raise ValueError("max_cached must be positive")
-        self._max_cached = max_cached
-        # id() keys are only stable while the object lives; the oracle
-        # holds a strong reference to its instance, keeping the id valid
-        # for as long as the entry is cached.  Ordered least- to
-        # most-recently *used*: hits re-rank, eviction pops the front.
-        self._oracles: "OrderedDict[int, object]" = OrderedDict()
-
-    def run_trial_batch(self, *args, **kwargs) -> List[TrialOutcome]:
-        # This backend already amortizes repeated instances itself; the
-        # SerialBackend override would wrap it in yet another batch.
-        return ExecutionBackend.run_trial_batch(self, *args, **kwargs)
-
-    def _oracle_for(self, instance):
-        key = id(instance)
-        oracle = self._oracles.get(key)
-        if oracle is not None and oracle.instance is instance:
-            self._oracles.move_to_end(key)
-            return oracle
-        oracle = _make_oracle(instance, self.compiled)
-        if key in self._oracles:
-            # A dead instance's id was reused: the stale entry must go
-            # regardless of capacity.
-            del self._oracles[key]
-        elif len(self._oracles) >= self._max_cached:
-            self._oracles.popitem(last=False)
-        self._oracles[key] = oracle
+        oracle = self._oracle
+        if oracle is None or oracle.instance is not instance:
+            oracle = self._oracle = _make_oracle(instance, self.compiled)
         return oracle
 
     def close(self) -> None:
-        self._oracles.clear()
-
-
-class _PinnedOracleBackend(SerialBackend):
-    """Serial execution against one pre-compiled oracle (shm workers).
-
-    A worker that attached a shared-memory instance already holds its
-    compiled oracle; this backend hands that oracle to every run over
-    the attached instance instead of recompiling, and — unlike its
-    parent — does not wrap trial batches in a transient
-    :class:`BatchBackend` (the pinned oracle *is* the cache).
-    """
-
-    name = "process-shm-worker"
-
-    def __init__(self, oracle) -> None:
-        super().__init__(compiled=True)
-        self._pinned = oracle
-
-    def run_trial_batch(self, *args, **kwargs) -> List[TrialOutcome]:
-        return ExecutionBackend.run_trial_batch(self, *args, **kwargs)
-
-    def _oracle_for(self, instance):
-        if instance is self._pinned.instance:
-            return self._pinned
-        return super()._oracle_for(instance)
+        self._oracle = None
 
 
 #: Fault kinds the injector may apply per transport (shm-only kinds make
@@ -644,11 +512,10 @@ def _warn_shm_fallback(exc: Exception) -> None:
     _SHM_FALLBACK_WARNED = True
     warnings.warn(
         "shared-memory transport unavailable "
-        f"({type(exc).__name__}: {exc}); falling back to the pickle "
-        "transport for this and future dispatches needing it. Results "
-        "are identical, only slower; pass shared_memory=False (spec "
-        "'process:N:pickle') to silence this, or free /dev/shm space "
-        "to restore the zero-copy path.",
+        f"({type(exc).__name__}: {exc}); node runs fall back to the "
+        "pickle transport for this and future dispatches needing it. "
+        "Results are identical, only slower; free /dev/shm space to "
+        "restore the zero-copy path.",
         RuntimeWarning,
         stacklevel=3,
     )
@@ -668,14 +535,14 @@ class ProcessPoolBackend(ExecutionBackend):
     work items cannot be pickled (e.g. an instance factory defined inside
     a test function), it silently falls back to the serial path.
 
-    With ``shared_memory=True`` (the default on the compiled path) the
-    instance is *published once per dispatch* to a shared-memory segment
-    and chunks carry only an O(1) handle; workers attach zero-copy and
-    cache the compiled oracle per process.  The segment is unlinked in a
-    ``finally`` whether the dispatch succeeds or a worker raises.
-    ``shared_memory=False`` preserves the instance-per-chunk pickle path
-    bit-for-bit (results are identical either way — only the transport
-    differs); the reference path (``compiled=False``) always pickles.
+    The workload picks the transport.  A node run of a materialized
+    instance on the compiled path is *published once per dispatch* to a
+    shared-memory segment and chunks carry only an O(1) handle; workers
+    attach zero-copy and cache the compiled oracle per process.  The
+    segment is unlinked in a ``finally`` whether the dispatch succeeds
+    or a worker raises.  A spec, a trial batch, the reference path
+    (``compiled=False``) and a dispatch whose publish failed ship their
+    chunks by pickle; results are identical either way.
 
     Supervision (``supervised=True``, the default): each dispatch tracks
     its chunks individually, detects crashed workers
@@ -706,7 +573,6 @@ class ProcessPoolBackend(ExecutionBackend):
         workers: Optional[int] = None,
         chunk_size: Optional[int] = None,
         compiled: bool = True,
-        shared_memory: bool = True,
         timeout: Optional[float] = None,
         retry: Optional[RetryPolicy] = None,
         supervised: bool = True,
@@ -721,7 +587,6 @@ class ProcessPoolBackend(ExecutionBackend):
         self.workers = workers or os.cpu_count() or 1
         self.chunk_size = chunk_size
         self.compiled = compiled
-        self.shared_memory = shared_memory
         self.timeout = timeout
         self.retry = retry if retry is not None else RetryPolicy()
         self.supervised = supervised
@@ -766,7 +631,7 @@ class ProcessPoolBackend(ExecutionBackend):
         chunks: List[list],
         transport: str,
         payloads: List[bytes],
-        workers_map: Dict[str, Callable[[bytes], list]],
+        worker: Callable[[bytes], list],
         pickle_payload: Callable[[list], bytes],
         serial_chunk: Callable[[list], list],
         seed: int,
@@ -802,8 +667,7 @@ class ProcessPoolBackend(ExecutionBackend):
             failures: List[Tuple[int, str, str]] = []  # (chunk, kind, detail)
             broken = False
             for idx in pending:
-                worker = workers_map[transports[idx]]
-                blob = blobs[idx]
+                submit, blob = worker, blobs[idx]
                 if injector is not None:
                     allowed = (
                         _SHM_FAULTS
@@ -821,11 +685,11 @@ class ProcessPoolBackend(ExecutionBackend):
                                 "injected",
                             )
                         )
-                        worker, blob = wrap_payload(
+                        submit, blob = wrap_payload(
                             fault, injector.plan, worker, blob
                         )
                 try:
-                    future = self._pool().submit(worker, blob)
+                    future = self._pool().submit(submit, blob)
                 except (BrokenProcessPool, RuntimeError) as exc:
                     broken = True
                     failures.append((idx, "worker-crash", f"submit: {exc}"))
@@ -917,6 +781,63 @@ class ProcessPoolBackend(ExecutionBackend):
         return results
 
     # ------------------------------------------------------------------
+    def _fan_out(
+        self,
+        kind: str,
+        items: list,
+        seed: int,
+        worker: Callable[[bytes], list],
+        pack: Callable[[list, object], tuple],
+        serial_chunk: Callable[[list], list],
+        shared=None,
+    ) -> list:
+        """Run ``items`` in chunks over the pool; results in item order.
+
+        ``pack(chunk, handle)`` is one chunk's payload tuple for
+        ``worker``; ``handle`` is the shared-memory handle of ``shared``
+        when that instance was published, ``None`` on the pickle
+        transport.  ``serial_chunk(items)`` runs items in-process: the
+        whole list when the pool cannot help (one worker, one chunk, or
+        work that cannot be pickled), a single chunk when supervision
+        degrades it.
+        """
+        chunks = self._chunk(items)
+        if self.workers == 1 or len(chunks) <= 1:
+            return serial_chunk(items)
+        self._dispatches += 1
+        scope = f"{kind}:{self._dispatches}"
+        handle = None if shared is None else self._publish(shared, scope)
+        try:
+            try:
+                payloads = [
+                    pickle.dumps(pack(chunk, handle)) for chunk in chunks
+                ]
+            except Exception:
+                # Unpicklable work (local classes, lambdas): the parallel
+                # path is an optimization, not a requirement.
+                payloads = None
+            if payloads is not None and self.supervised:
+                chunk_results = self._dispatch_supervised(
+                    scope,
+                    chunks,
+                    "pickle" if handle is None else "shm",
+                    payloads,
+                    worker,
+                    lambda chunk: pickle.dumps(pack(chunk, None)),
+                    serial_chunk,
+                    seed,
+                )
+            elif payloads is not None:
+                futures = [self._pool().submit(worker, p) for p in payloads]
+                chunk_results = [future.result() for future in futures]
+        finally:
+            if handle is not None:
+                self._unpublish(handle)
+        if payloads is None:
+            return serial_chunk(items)
+        # submission order == original item order
+        return [item for chunk in chunk_results for item in chunk]
+
     def run(
         self,
         instance,
@@ -927,106 +848,44 @@ class ProcessPoolBackend(ExecutionBackend):
         max_volume: Optional[int] = None,
         max_queries: Optional[int] = None,
     ) -> RunResult:
-        node_list = self._resolve_nodes(instance, nodes)
-        chunks = self._chunk(node_list)
-        serial = self.workers == 1 or len(chunks) <= 1
-        self._dispatches += 1
-        scope = f"run:{self._dispatches}"
         mark = len(self.fault_log)
-        handle = None
-        payloads: List[bytes] = []
-        if (
-            not serial
-            and self.shared_memory
-            and self.compiled
-            # An InstanceSpec is already an O(1) payload — pickling it
-            # per chunk beats publishing (there is no graph to share);
-            # each worker serves its chunk from its own ImplicitOracle.
-            and not isinstance(instance, InstanceSpec)
-        ):
-            handle = self._publish(instance, scope)
-        if handle is not None:
-            try:
-                payloads = [
-                    pickle.dumps(
-                        (handle, algorithm, chunk, seed, max_volume,
-                         max_queries)
-                    )
-                    for chunk in chunks
-                ]
-            except Exception:
-                # Unpicklable algorithm: the shm path cannot help either;
-                # drop the segment and try the legacy transport below.
-                self._unpublish(handle)
-                handle = None
-                payloads = []
-        if not serial and handle is None:
-            try:
-                payloads = [
-                    pickle.dumps(
-                        (instance, algorithm, chunk, seed, max_volume,
-                         max_queries, self.compiled)
-                    )
-                    for chunk in chunks
-                ]
-            except Exception:
-                # Unpicklable instance/algorithm (local classes, lambdas):
-                # the parallel path is an optimization, not a requirement.
-                serial = True
-        if serial:
-            triples = _execute_nodes(
-                _make_oracle(instance, self.compiled),
-                algorithm,
-                node_list,
-                seed,
-                max_volume,
-                max_queries,
-                distance_mode="incremental" if self.compiled else "reference",
-            )
-            return self._assemble(instance, algorithm, triples)
+        local = SerialBackend(compiled=self.compiled)
 
-        def _pickle_payload(chunk: list) -> bytes:
-            return pickle.dumps(
-                (instance, algorithm, chunk, seed, max_volume,
-                 max_queries, self.compiled)
-            )
-
-        oracle_cache: list = []
-
-        def _serial_chunk(chunk: list) -> list:
-            if not oracle_cache:
-                oracle_cache.append(_make_oracle(instance, self.compiled))
+        def serial_chunk(chunk: list) -> list:
             return _execute_nodes(
-                oracle_cache[0],
+                local._oracle_for(instance),
                 algorithm,
                 chunk,
                 seed,
                 max_volume,
                 max_queries,
-                distance_mode="incremental" if self.compiled else "reference",
+                distance_mode=local._distance_mode,
             )
 
-        try:
-            if self.supervised:
-                chunk_results = self._dispatch_supervised(
-                    scope,
-                    chunks,
-                    "pickle" if handle is None else "shm",
-                    payloads,
-                    {"shm": _run_chunk_shm, "pickle": _run_chunk},
-                    _pickle_payload,
-                    _serial_chunk,
-                    seed,
-                )
-            else:
-                worker = _run_chunk if handle is None else _run_chunk_shm
-                futures = [self._pool().submit(worker, p) for p in payloads]
-                # submission order == original node order
-                chunk_results = [future.result() for future in futures]
-        finally:
-            if handle is not None:
-                self._unpublish(handle)
-        triples = [t for chunk in chunk_results for t in chunk]
+        triples = self._fan_out(
+            "run",
+            self._resolve_nodes(instance, nodes),
+            seed,
+            _run_chunk,
+            lambda chunk, handle: (
+                instance if handle is None else handle,
+                algorithm,
+                chunk,
+                seed,
+                max_volume,
+                max_queries,
+                self.compiled,
+            ),
+            serial_chunk,
+            # An InstanceSpec is already an O(1) payload — pickling it per
+            # chunk beats publishing (there is no graph to share); each
+            # worker serves its chunk from its own ImplicitOracle.
+            shared=(
+                instance
+                if self.compiled and not isinstance(instance, InstanceSpec)
+                else None
+            ),
+        )
         result = self._assemble(instance, algorithm, triples)
         events = self.fault_log.since(mark)
         if events:
@@ -1044,137 +903,51 @@ class ProcessPoolBackend(ExecutionBackend):
         max_volume: Optional[int] = None,
         max_queries: Optional[int] = None,
     ) -> List[TrialOutcome]:
-        """Fan the trials out over the pool; merged in index order.
+        """Fan the trials out over the pool by pickle; merged in index order.
 
-        Each worker amortizes repeated instances through its own
-        :class:`BatchBackend`; trial seeds depend only on the indices, so
-        the merged outcome list is identical to the serial one.
+        Each worker runs its chunk on one :class:`SerialBackend`, which
+        compiles a repeated instance once; trial seeds depend only on the
+        indices, so the merged outcome list is identical to the serial
+        one.  A deterministic algorithm on a fixed instance reads no bit,
+        so its whole batch is one execution (:func:`_trial_outcomes`):
+        it runs in-process rather than once per chunk.
         """
         indices = list(trial_indices)
-        chunks = self._chunk(indices)
+        local = SerialBackend(compiled=self.compiled)
 
-        def _local() -> List[TrialOutcome]:
-            with BatchBackend(compiled=self.compiled) as batch:
-                return _trial_outcomes(
-                    batch,
-                    problem,
-                    instance_factory,
-                    algorithm,
-                    indices,
-                    base_seed,
-                    max_volume,
-                    max_queries,
-                )
-
-        if self.workers == 1 or len(chunks) <= 1:
-            return _local()
-        self._dispatches += 1
-        scope = f"trials:{self._dispatches}"
-        handle = None
-        payloads: List[bytes] = []
-        if (
-            self.shared_memory
-            and self.compiled
-            and isinstance(instance_factory, FixedInstanceFactory)
-            # A fixed *spec* ships as its own O(1) payload (see run()).
-            and not isinstance(instance_factory.instance, InstanceSpec)
-        ):
-            # Fixed-instance trial streams (the Monte-Carlo engine's
-            # common shape) share one instance across every trial:
-            # publish it once, fan out O(1) handles.
-            handle = self._publish(instance_factory.instance, scope)
-        if handle is not None:
-            try:
-                payloads = [
-                    pickle.dumps(
-                        (
-                            handle,
-                            problem,
-                            algorithm,
-                            chunk,
-                            base_seed,
-                            max_volume,
-                            max_queries,
-                        )
-                    )
-                    for chunk in chunks
-                ]
-            except Exception:
-                self._unpublish(handle)
-                handle = None
-                payloads = []
-        if handle is None:
-            try:
-                payloads = [
-                    pickle.dumps(
-                        (
-                            problem,
-                            instance_factory,
-                            algorithm,
-                            chunk,
-                            base_seed,
-                            max_volume,
-                            max_queries,
-                            self.compiled,
-                        )
-                    )
-                    for chunk in chunks
-                ]
-            except Exception:
-                # Unpicklable factory/problem (lambdas, local classes): the
-                # parallel path is an optimization, not a requirement.
-                return _local()
-        def _pickle_payload(chunk: list) -> bytes:
-            return pickle.dumps(
-                (
-                    problem,
-                    instance_factory,
-                    algorithm,
-                    chunk,
-                    base_seed,
-                    max_volume,
-                    max_queries,
-                    self.compiled,
-                )
+        def serial_chunk(chunk: list) -> List[TrialOutcome]:
+            return _trial_outcomes(
+                local,
+                problem,
+                instance_factory,
+                algorithm,
+                chunk,
+                base_seed,
+                max_volume,
+                max_queries,
             )
 
-        def _serial_chunk(chunk: list) -> List[TrialOutcome]:
-            with BatchBackend(compiled=self.compiled) as batch:
-                return _trial_outcomes(
-                    batch,
-                    problem,
-                    instance_factory,
-                    algorithm,
-                    chunk,
-                    base_seed,
-                    max_volume,
-                    max_queries,
-                )
-
-        try:
-            if self.supervised:
-                chunk_results = self._dispatch_supervised(
-                    scope,
-                    chunks,
-                    "pickle" if handle is None else "shm",
-                    payloads,
-                    {"shm": _run_trials_shm, "pickle": _run_trials},
-                    _pickle_payload,
-                    _serial_chunk,
-                    base_seed,
-                )
-            else:
-                worker = _run_trials if handle is None else _run_trials_shm
-                futures = [self._pool().submit(worker, p) for p in payloads]
-                # submission order == trial index order
-                chunk_results = [future.result() for future in futures]
-        finally:
-            if handle is not None:
-                self._unpublish(handle)
-        outcomes: List[TrialOutcome] = []
-        for chunk in chunk_results:
-            outcomes.extend(chunk)
-        return outcomes
+        if not algorithm.is_randomized and isinstance(
+            instance_factory, FixedInstanceFactory
+        ):
+            return serial_chunk(indices)
+        return self._fan_out(
+            "trials",
+            indices,
+            base_seed,
+            _run_trials,
+            lambda chunk, handle: (
+                problem,
+                instance_factory,
+                algorithm,
+                chunk,
+                base_seed,
+                max_volume,
+                max_queries,
+                self.compiled,
+            ),
+            serial_chunk,
+        )
 
     # ------------------------------------------------------------------
     def close(self) -> None:
@@ -1258,65 +1031,46 @@ class ProcessPoolBackend(ExecutionBackend):
         return chunks
 
 
-_DEFAULT_BACKEND = SerialBackend()
-
 #: The backend spec-string grammar, quoted by every parse error::
 #:
-#:     spec      := "serial" | "reference" | "batch" | "process" pool?
-#:     pool      := ":" workers? transport?
-#:     workers   := integer >= 1
-#:     transport := ":" ("shm" | "pickle")
-BACKEND_SPEC_GRAMMAR = (
-    "'serial', 'reference', 'batch', 'process', 'process:N', or "
-    "'process:N:shm'/'process:N:pickle'"
-)
+#:     spec    := "serial" | "reference" | "process" (":" workers)?
+#:     workers := integer >= 1
+BACKEND_SPEC_GRAMMAR = "'serial', 'reference', 'process', or 'process:N'"
 
 
 @dataclass(frozen=True)
 class BackendSpec:
     """A parsed backend spec string — the value form of the grammar.
 
-    ``kind`` is one of ``serial`` / ``reference`` / ``batch`` /
-    ``process``; ``workers`` and ``transport`` (``"shm"`` or
-    ``"pickle"``) apply only to ``process``.  ``str()`` renders the
+    ``kind`` is one of ``serial`` / ``reference`` / ``process``;
+    ``workers`` applies only to ``process``.  ``str()`` renders the
     canonical spec string, and ``parse_backend_spec(str(spec)) == spec``
     for every valid value; :meth:`make` builds the backend it names.
     """
 
     kind: str
     workers: Optional[int] = None
-    transport: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("serial", "reference", "batch", "process"):
+        if self.kind not in ("serial", "reference", "process"):
             raise ValueError(
                 f"unknown backend kind {self.kind!r} "
                 f"(expected {BACKEND_SPEC_GRAMMAR})"
             )
         if self.kind != "process":
-            if self.workers is not None or self.transport is not None:
+            if self.workers is not None:
                 raise ValueError(
-                    f"backend kind {self.kind!r} takes no workers or "
-                    "transport (only 'process' does)"
+                    f"backend kind {self.kind!r} takes no workers "
+                    "(only 'process' does)"
                 )
             return
         if self.workers is not None and self.workers < 1:
             raise ValueError("workers must be positive")
-        if self.transport not in (None, "shm", "pickle"):
-            raise ValueError(
-                f"unknown transport {self.transport!r} "
-                "(expected 'shm' or 'pickle')"
-            )
 
     def __str__(self) -> str:
-        if self.kind != "process":
+        if self.workers is None:
             return self.kind
-        spec = "process"
-        if self.workers is not None or self.transport is not None:
-            spec += f":{self.workers if self.workers is not None else ''}"
-        if self.transport is not None:
-            spec += f":{self.transport}"
-        return spec
+        return f"{self.kind}:{self.workers}"
 
     def make(self) -> ExecutionBackend:
         """Construct the backend this spec names (a fresh instance)."""
@@ -1324,49 +1078,34 @@ class BackendSpec:
             return SerialBackend()
         if self.kind == "reference":
             return SerialBackend(compiled=False)
-        if self.kind == "batch":
-            return BatchBackend()
-        return ProcessPoolBackend(
-            workers=self.workers,
-            shared_memory=self.transport != "pickle",
-        )
+        return ProcessPoolBackend(workers=self.workers)
 
 
 def parse_backend_spec(spec: str) -> BackendSpec:
     """Parse a backend spec string into a :class:`BackendSpec`.
 
-    The grammar is ``'serial' | 'reference' | 'batch' |
-    'process[:N[:shm|:pickle]]'`` (:data:`BACKEND_SPEC_GRAMMAR`); every
-    rejection is a ``ValueError`` naming the offending spec and the
-    grammar.  ``str()`` of the returned value round-trips to the
-    canonical spec string.
+    The grammar is ``'serial' | 'reference' | 'process[:N]'``
+    (:data:`BACKEND_SPEC_GRAMMAR`); every rejection is a ``ValueError``
+    naming the offending spec and the grammar.  ``str()`` of the
+    returned value round-trips to the canonical spec string.
     """
     if not isinstance(spec, str):
         raise TypeError(
             f"backend spec must be a string, got {type(spec).__name__}"
         )
-    name, sep, arg = spec.partition(":")
+    name, sep, count = spec.partition(":")
     if name == "process":
-        count, _, transport = arg.partition(":")
-        if transport not in ("", "shm", "pickle"):
-            raise ValueError(
-                f"bad transport in backend spec {spec!r} "
-                "(expected 'process:N:shm' or 'process:N:pickle')"
-            )
         try:
             workers = int(count) if count else None
         except ValueError:
-            raise ValueError(
-                f"bad worker count in backend spec {spec!r} "
-                "(expected 'process:N' with integer N)"
-            ) from None
+            workers = 0
         if workers is not None and workers < 1:
             raise ValueError(
                 f"bad worker count in backend spec {spec!r} "
-                "(expected 'process:N' with integer N)"
+                f"(expected {BACKEND_SPEC_GRAMMAR} with integer N >= 1)"
             )
-        return BackendSpec("process", workers, transport or None)
-    if name in ("serial", "reference", "batch"):
+        return BackendSpec("process", workers)
+    if name in ("serial", "reference"):
         if sep:
             raise ValueError(
                 f"backend {name!r} takes no arguments in spec {spec!r} "
@@ -1383,16 +1122,15 @@ def get_backend(spec=None) -> ExecutionBackend:
     """Resolve a backend argument: instance, spec string, or ``None``.
 
     Spec strings follow :func:`parse_backend_spec`'s grammar: ``"serial"``,
-    ``"batch"``, ``"process"``, and ``"process:N"`` for an N-worker pool —
-    all of which use the compiled instance fast path — plus
-    ``"reference"``, the uncompiled reference engine (``StaticOracle`` +
-    BFS ``DIST``; bitwise-identical results).  ``"process:N:shm"`` /
-    ``"process:N:pickle"`` pin the pool's instance transport (shared
-    memory is the default); results are identical either way.  ``None``
-    means the shared default :class:`SerialBackend`.
+    ``"process"``, and ``"process:N"`` for an N-worker pool — all of
+    which use the compiled instance fast path — plus ``"reference"``,
+    the uncompiled reference engine (``StaticOracle`` + BFS ``DIST``;
+    bitwise-identical results).  ``None`` means a fresh
+    :class:`SerialBackend`, so a default call keeps no instance alive
+    once it returns.
     """
     if spec is None:
-        return _DEFAULT_BACKEND
+        return SerialBackend()
     if isinstance(spec, ExecutionBackend):
         return spec
     if isinstance(spec, BackendSpec):

@@ -10,7 +10,10 @@ workload × one :class:`~repro.faults.plan.FaultPlan`:
 1. execute the workload fault-free on :class:`SerialBackend` (the
    reference semantics every backend must match);
 2. execute it again on a supervised :class:`ProcessPoolBackend` with the
-   plan's :class:`~repro.faults.plan.FaultInjector` active;
+   plan's :class:`~repro.faults.plan.FaultInjector` active — the pool
+   picks the transport (a node run of a materialized instance goes by
+   shared memory unless the plan fails its publish; a spec or a trial
+   batch goes by pickle), and the report names the path it took;
 3. compare outputs/profiles (or per-trial outcomes) for bit equality,
    and assert the shared-memory registry and ``/dev/shm`` are exactly
    as they started.
@@ -34,6 +37,7 @@ from repro.exec.backends import (
 )
 from repro.faults.plan import FaultInjector, FaultPlan
 from repro.faults.retry import FaultLog, RetryPolicy
+from repro.model.implicit import InstanceSpec
 
 
 def shm_entries() -> "set[str]":
@@ -44,9 +48,34 @@ def shm_entries() -> "set[str]":
         return set()
 
 
+def _transport(
+    instance, algorithm, workers: int, trials: Optional[int], fault_log: FaultLog
+) -> str:
+    """The path the pool picked for a chaotic job's chunks.
+
+    A one-worker pool, and a fixed-instance trial batch of a
+    deterministic algorithm (one execution answers it), run in-process.
+    Any other trial batch and a spec ship by pickle; a node run of a
+    materialized instance ships by shared memory unless its publish
+    failed (the pool then logs a ``shm-publish`` fallback).  Chunks that
+    supervision degraded later show up in the fault log, not here.
+    """
+    if workers == 1 or (trials is not None and not algorithm.is_randomized):
+        return "in-process"
+    if trials is not None or isinstance(instance, InstanceSpec):
+        return "pickle"
+    if any(event.kind == "shm-publish" for event in fault_log):
+        return "pickle"
+    return "shm"
+
+
 @dataclass
 class ChaosReport:
-    """One chaos run's verdicts and evidence."""
+    """One chaos run's verdicts and evidence.
+
+    ``transport`` is the path the pool picked for the job's chunks:
+    ``"shm"``, ``"pickle"`` or ``"in-process"``.
+    """
 
     workload: str
     transport: str
@@ -103,7 +132,6 @@ def run_chaos(
     *,
     plan: FaultPlan,
     workers: int = 2,
-    transport: str = "shm",
     seed: int = 0,
     trials: Optional[int] = None,
     chunk_size: Optional[int] = None,
@@ -119,8 +147,6 @@ def run_chaos(
     ``chunk_size`` forces several chunks even on tiny test instances so
     faults have distinct units to hit.
     """
-    if transport not in ("shm", "pickle"):
-        raise ValueError(f"unknown transport {transport!r} (shm|pickle)")
     if retry is None:
         # Chaos runs must outlast the plan's worst case: give every
         # stage at least one attempt beyond the last faultable one.
@@ -142,7 +168,6 @@ def run_chaos(
     pool = ProcessPoolBackend(
         workers=workers,
         chunk_size=chunk_size,
-        shared_memory=(transport == "shm"),
         timeout=timeout,
         retry=retry,
         fault_injector=injector,
@@ -183,7 +208,7 @@ def run_chaos(
     )
     return ChaosReport(
         workload=workload,
-        transport=transport,
+        transport=_transport(instance, algorithm, workers, trials, fault_log),
         plan=plan,
         equal=equal,
         shm_clean=not leaked,

@@ -110,6 +110,11 @@ class Labeling:
     def __len__(self) -> int:
         return len(self._labels)
 
+    def __iter__(self) -> Iterator[int]:
+        # Without this, iteration falls back to __getitem__(0), (1), ...,
+        # which inserts a label per read and never ends.
+        return iter(self._labels)
+
     def nodes(self) -> Iterator[int]:
         return iter(self._labels)
 

@@ -234,6 +234,7 @@ def compile_oracle(instance: Instance) -> CompiledOracle:
     The compiled table is a pure function of the instance, so callers
     that run many whole-instance passes over one instance (trial loops,
     ablations) should build it once and reuse it —
-    :class:`~repro.exec.backends.BatchBackend` does exactly that.
+    :class:`~repro.exec.backends.SerialBackend` keeps the oracle of the
+    instance it ran last for exactly that.
     """
     return CompiledOracle(instance)

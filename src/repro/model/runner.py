@@ -216,10 +216,10 @@ def success_probability(
     (fixed instance, or a fresh draw from a hard distribution as in the
     Proposition 3.12 experiment); trial ``i`` uses seed ``base_seed + i``.
 
-    With a :class:`~repro.exec.backends.BatchBackend` the per-trial
-    oracle construction is amortized across trials on a repeated
-    instance; a :class:`~repro.exec.backends.ProcessPoolBackend` fans the
-    trials out across workers.  The value is backend-independent.
+    A :class:`~repro.exec.backends.SerialBackend` keeps the oracle of the
+    instance it ran last, so a repeated instance is compiled once, not
+    once per trial; a :class:`~repro.exec.backends.ProcessPoolBackend`
+    fans the trials out across workers.  The value is backend-independent.
     """
     from repro.exec.backends import get_backend
 

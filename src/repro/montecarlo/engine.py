@@ -45,10 +45,8 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Union
 
 from repro.exec.backends import (
-    BatchBackend,
     ExecutionBackend,
     FixedInstanceFactory,
-    SerialBackend,
     TrialOutcome,
     get_backend,
 )
@@ -320,11 +318,12 @@ def run_trials(
     """Stream solve-and-check trials until the policy says stop.
 
     ``instance_or_factory`` is either a fixed instance (wrapped in a
-    :class:`FixedInstanceFactory`; the oracle compiles once per batch) or
-    an ``instance_factory(trial) -> instance`` for per-trial draws from a
-    hard distribution.  ``resume`` continues a previously returned result
-    from its next trial index — the combined run is bitwise identical to
-    an uninterrupted one (see the module docstring).
+    :class:`FixedInstanceFactory`; a serial backend compiles its oracle
+    once per run) or an ``instance_factory(trial) -> instance`` for
+    per-trial draws from a hard distribution.  ``resume`` continues a
+    previously returned result from its next trial index — the combined
+    run is bitwise identical to an uninterrupted one (see the module
+    docstring).
 
     ``store`` (a :class:`~repro.corpus.results.ResultStore`) makes the
     run crash-safe and resumable: each completed batch commits to the
@@ -340,28 +339,15 @@ def run_trials(
             "both — the store already replays completed trials"
         )
     engine = get_backend(backend)
-    owned: List[ExecutionBackend] = []
-    if backend is not None and not isinstance(backend, ExecutionBackend):
-        # A string spec ("process:4", ...) constructed a fresh backend
-        # nobody else holds: close it when the run ends, or a lazily
-        # started ProcessPoolExecutor (and any published shared-memory
-        # segment) leaks into interpreter teardown.
-        owned.append(engine)
+    # Anything but a backend object (a spec string, or None) constructed
+    # a fresh backend nobody else holds: close it when the run ends, or a
+    # lazily started ProcessPoolExecutor (and any published shared-memory
+    # segment) leaks into interpreter teardown.
+    owned = not isinstance(backend, ExecutionBackend)
     # The try covers everything from here on: even pre-loop failures
     # (resume validation, a factory that raises) must close an owned
     # pool and its shared-memory segments, not just loop exceptions.
     try:
-        # A plain SerialBackend wraps *each* trial batch in a transient
-        # BatchBackend, recompiling a fixed instance's oracle once per
-        # batch; holding one oracle-caching backend for the whole
-        # streaming loop compiles it once per run instead.  Results are
-        # identical (the conformance suite pins serial == batch), so
-        # this is purely an amortization.  Exact-type check on purpose:
-        # a BatchBackend (a SerialBackend subclass) already caches
-        # across calls.
-        if type(engine) is SerialBackend:
-            engine = BatchBackend(compiled=engine.compiled)
-            owned.append(engine)
         factory = (
             instance_or_factory
             if callable(instance_or_factory)
@@ -440,8 +426,8 @@ def run_trials(
         if backend_log is not None and len(backend_log) > log_mark:
             result.fault_log = backend_log.since(log_mark)
     finally:
-        for held in owned:
-            held.close()
+        if owned:
+            engine.close()
     result.elapsed += time.perf_counter() - started
     return result
 

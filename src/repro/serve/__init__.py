@@ -6,7 +6,7 @@ registry — solve-and-check a cell, Monte-Carlo-estimate a success rate,
 play an adversary budget point — behind a scheduler
 (:mod:`repro.serve.scheduler`) that answers repeats bitwise-identically
 from the result store on the event loop, runs every other job on one
-worker thread that owns one shared oracle-caching execution backend,
+worker thread that owns one shared execution backend,
 and rejects overload with explicit backpressure.  The deterministic
 load generator (:mod:`repro.serve.load`) turns "heavy traffic" into a
 CI-gated number: p50/p95/p99 latency, requests/sec and store hit rate

@@ -14,11 +14,10 @@ A submitted job passes three checks on the event loop, in this order:
 
 Admitted jobs wait on one bounded asyncio queue.  A single scheduler
 task hands each one, as soon as the previous one is done, to one
-dedicated worker thread that owns the shared oracle-caching execution
-backend.  Every job's payload is a pure function of its resolved
-request descriptor (DESIGN.md §13.4), so the arrival order is
-unobservable in the responses — a property the conformance suite pins
-with hypothesis.
+dedicated worker thread that owns the shared execution backend.  Every
+job's payload is a pure function of its resolved request descriptor
+(DESIGN.md §13.4), so the arrival order is unobservable in the
+responses — a property the conformance suite pins with hypothesis.
 
 The store write is *behind* the response: the worker resolves the
 waiting future first and persists the body afterwards, so a cold-cache
@@ -138,10 +137,10 @@ class ServeStats:
 class BatchScheduler:
     """Run admitted jobs one at a time on one worker thread.
 
-    One worker on purpose: the shared oracle-caching backend is not
-    thread-safe.  Parallelism belongs *inside* a job — a ``process:N``
-    backend fans a single solve's nodes out across worker processes —
-    not across jobs.
+    One worker on purpose: the shared backend is not thread-safe (a
+    serial one keeps the oracle of the instance it ran last).
+    Parallelism belongs *inside* a job — a ``process:N`` backend fans a
+    single solve's nodes out across worker processes — not across jobs.
     """
 
     def __init__(

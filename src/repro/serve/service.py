@@ -14,7 +14,7 @@ every default — seed, param, policy — so the *resolved descriptor* is
 complete), hash the descriptor into the request key, answer a stored
 key from the response store, and admit the job otherwise.  All
 computation happens on the scheduler's worker thread
-(:mod:`repro.serve.scheduler`), which owns the shared oracle-caching
+(:mod:`repro.serve.scheduler`), which owns the shared execution
 backend.
 
 Response bodies are pure functions of the resolved descriptor: no
@@ -70,7 +70,7 @@ class ServeConfig:
 
     host: str = "127.0.0.1"
     port: int = 8437
-    backend: str = "batch"
+    backend: str = "serial"
     store: Optional[str] = None
     queue_limit: int = 64
     default_deadline: float = 30.0

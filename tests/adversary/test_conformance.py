@@ -31,7 +31,7 @@ BUDGETS = {
     "prop49/balanced-tree": st.integers(min_value=2, max_value=5),
 }
 
-BACKENDS = ["serial", "reference", "batch", "process:2"]
+BACKENDS = ["serial", "reference", "process:1", "process:2"]
 
 
 def test_budget_pools_cover_every_registered_adversary():

@@ -24,7 +24,7 @@ from repro.algorithms.hybrid_algs import (
     HybridRecursiveSolver,
     HybridWaypointSolver,
 )
-from repro.exec.backends import BatchBackend
+from repro.exec.backends import SerialBackend
 from repro.graphs.generators import hybrid_thc_instance
 from repro.graphs.tree_structure import InstanceTopology, right_child_node
 from repro.model.oracle import compile_oracle
@@ -110,7 +110,7 @@ def test_shared_run_equals_fresh_solvers(cell, param, seed, solves):
 def test_trials_on_one_oracle_share_the_solve(cls, solves):
     instance = hybrid_thc_instance(2, 3, 3, rng=random.Random(1))
     solver = cls(2)
-    with BatchBackend() as backend:
+    with SerialBackend() as backend:
         for seed in range(4):
             backend.run(instance, solver, seed=seed)
     assert solves

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.algorithms.leaf_coloring_algs import RWtoLeaf
 from repro.corpus import ResultStore
-from repro.exec.backends import BatchBackend
+from repro.exec.backends import SerialBackend
 from repro.graphs.generators import leaf_coloring_instance
 from repro.montecarlo.engine import TrialPolicy, run_trials, trial_run_key
 from repro.problems.leaf_coloring import LeafColoring
@@ -40,8 +40,8 @@ def _run_key(base_seed=17):
     )
 
 
-class CountingBackend(BatchBackend):
-    """A batch backend that remembers every trial index it executed."""
+class CountingBackend(SerialBackend):
+    """A serial backend that remembers every trial index it executed."""
 
     def __init__(self):
         super().__init__()
@@ -156,12 +156,12 @@ _KILL_SCRIPT = """
 import os, random, sys
 from repro.algorithms.leaf_coloring_algs import RWtoLeaf
 from repro.corpus import ResultStore
-from repro.exec.backends import BatchBackend
+from repro.exec.backends import SerialBackend
 from repro.graphs.generators import leaf_coloring_instance
 from repro.montecarlo.engine import TrialPolicy, run_trials
 from repro.problems.leaf_coloring import LeafColoring
 
-class DyingBackend(BatchBackend):
+class DyingBackend(SerialBackend):
     batches = 0
     def run_trial_batch(self, *args, **kwargs):
         if DyingBackend.batches == 2:

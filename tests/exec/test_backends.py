@@ -6,7 +6,9 @@ order- and process-independent and parallel dispatch must be *bitwise*
 identical to serial — same outputs, same profiles, same probabilities.
 """
 
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,6 @@ from hypothesis import strategies as st
 from repro.algorithms.balanced_tree_algs import BalancedTreeDistanceSolver
 from repro.algorithms.leaf_coloring_algs import RWtoLeaf, SecretRWtoLeaf
 from repro.exec.backends import (
-    BatchBackend,
     ExecutionBackend,
     ProcessPoolBackend,
     SerialBackend,
@@ -27,6 +28,7 @@ from repro.graphs.generators import (
 )
 from repro.model.probe import ProbeAlgorithm
 from repro.model.runner import run_algorithm, success_probability
+from repro.montecarlo.engine import TrialPolicy, run_trials
 from repro.problems.leaf_coloring import LeafColoring
 
 
@@ -71,7 +73,9 @@ class TestRunEquivalence:
     def test_deterministic_solver_all_backends(self, pool):
         instance = balanced_tree_instance(4, rng=random.Random(1))
         reference = run_algorithm(instance, BalancedTreeDistanceSolver())
-        for backend in (BatchBackend(), pool):
+        held = SerialBackend()
+        run_algorithm(instance, BalancedTreeDistanceSolver(), backend=held)
+        for backend in (held, pool):
             other = run_algorithm(
                 instance, BalancedTreeDistanceSolver(), backend=backend
             )
@@ -116,7 +120,7 @@ class TestSuccessProbabilityEquivalence:
                 base_seed=base_seed,
                 backend=backend,
             )
-            for backend in (SerialBackend(), BatchBackend(), pool)
+            for backend in (SerialBackend(), pool)
         }
         assert len(set(values.values())) == 1, values
 
@@ -145,27 +149,94 @@ class TestSuccessProbabilityEquivalence:
             )
 
 
-class TestBatchBackend:
+def _counting_as_oracle(monkeypatch):
+    """Count oracle builds through the module global backends use."""
+    import repro.exec.backends as backends
+
+    calls = []
+    real = backends.as_oracle
+
+    def counting(instance, mode="auto"):
+        calls.append(instance)
+        return real(instance, mode=mode)
+
+    monkeypatch.setattr(backends, "as_oracle", counting)
+    return calls
+
+
+class TestSerialOracleReuse:
+    """A serial backend keeps the oracle of the instance it ran last."""
+
     def test_oracle_reused_for_same_instance(self):
-        backend = BatchBackend()
+        backend = SerialBackend()
         instance = leaf_coloring_instance(3)
         o1 = backend._oracle_for(instance)
         o2 = backend._oracle_for(instance)
         assert o1 is o2
 
-    def test_cache_eviction_bounded(self):
-        backend = BatchBackend(max_cached=2)
+    def test_only_the_last_instance_is_kept(self):
+        backend = SerialBackend()
         instances = [leaf_coloring_instance(3) for _ in range(5)]
         for instance in instances:
             backend._oracle_for(instance)
-        assert len(backend._oracles) == 2
+        assert backend._oracle.instance is instances[-1]
+
+    def test_held_backend_compiles_once_across_runs_and_batches(
+        self, monkeypatch
+    ):
+        instance = leaf_coloring_instance(4, rng=random.Random(2))
+        calls = _counting_as_oracle(monkeypatch)
+        backend = SerialBackend()
+        policy = TrialPolicy(
+            min_trials=4, max_trials=12, batch_size=4, early_stop=False
+        )
+        for seed in range(3):
+            backend.run(instance, RWtoLeaf(), seed=seed)
+        for base_seed in range(2):
+            run_trials(
+                LeafColoring(), instance, RWtoLeaf(), policy,
+                base_seed=base_seed, backend=backend,
+            )
+        assert calls == [instance]
+
+    def test_alternating_instances_answer_for_their_own(self):
+        first = leaf_coloring_instance(4, rng=random.Random(1))
+        second = leaf_coloring_instance(5, rng=random.Random(2))
+        held = SerialBackend()
+        for round_ in range(2):
+            for instance in (first, second, first):
+                seed = 3 + round_
+                got = held.run(instance, RWtoLeaf(), seed=seed)
+                fresh = SerialBackend().run(instance, RWtoLeaf(), seed=seed)
+                assert_bitwise_equal(got, fresh)
+
+    def test_close_drops_the_kept_oracle(self):
+        instance = leaf_coloring_instance(3)
+        backend = SerialBackend()
+        backend.run(instance, RWtoLeaf(), seed=1)
+        ref = weakref.ref(instance)
+        del instance
+        gc.collect()
+        assert ref() is not None  # the kept oracle holds it
+        backend.close()
+        gc.collect()
+        assert ref() is None
+
+    def test_default_backend_holds_no_instance(self):
+        instance = leaf_coloring_instance(3)
+        run_algorithm(instance, RWtoLeaf(), seed=1)
+        ref = weakref.ref(instance)
+        del instance
+        gc.collect()
+        assert ref() is None
 
 
 class TestGetBackend:
     def test_resolution(self):
         assert isinstance(get_backend(None), SerialBackend)
+        # A fresh backend per default call: nothing is shared or kept.
+        assert get_backend(None) is not get_backend(None)
         assert isinstance(get_backend("serial"), SerialBackend)
-        assert isinstance(get_backend("batch"), BatchBackend)
         pool = get_backend("process:3")
         assert isinstance(pool, ProcessPoolBackend)
         assert pool.workers == 3

@@ -12,7 +12,7 @@ import hashlib
 import pytest
 
 from repro.algorithms.leaf_coloring_algs import RWtoLeaf
-from repro.exec.backends import BatchBackend
+from repro.exec.backends import SerialBackend
 from repro.graphs import tree_structure
 from repro.model.implicit import InstanceSpec
 from repro.montecarlo.engine import QUICK_POLICY, run_trials
@@ -80,7 +80,7 @@ class TestOneTopologyPerBatch:
         built = _count_calls(monkeypatch, tree_structure.InstanceTopology,
                              "__init__")
         instance = FAMILIES.get("leaf-coloring").instance(5)
-        with BatchBackend() as backend:
+        with SerialBackend() as backend:
             backend.run_trial_batch(
                 LeafColoring(), lambda trial: instance, RWtoLeaf(), range(3)
             )

@@ -5,13 +5,14 @@ trial that read no random bit has the same outcome under every seed:
 ``_trial_outcomes`` gives the later trials of such a batch that outcome
 with their own ``trial`` and ``seed`` (DESIGN.md §8.2).  The first class
 pins the outcomes against the definition, a per-trial ``solve_and_check``
-loop, on every registry cell and backend; the second counts executions.
+loop, on every registry cell and backend; the second counts executions;
+the third counts what a process pool submits: a deterministic cell's
+fixed batch is one execution, so the pool runs it in-process.
 """
 
 import pytest
 
 from repro.exec.backends import (
-    BatchBackend,
     FixedInstanceFactory,
     ProcessPoolBackend,
     SerialBackend,
@@ -57,20 +58,24 @@ def per_trial_loop(cell, instance, trials, base_seed):
     return outcomes
 
 
-@pytest.fixture(scope="module", params=["serial", "batch", "shm", "pickle"])
+@pytest.fixture(
+    scope="module", params=["serial", "reference", "process:1", "process:2"]
+)
 def backend(request):
-    """Each backend once per module (a pool is expensive to fork)."""
+    """Each backend once per module (a pool is expensive to fork).
+
+    A serial backend is held across cells, so each cell's batch also
+    replaces the oracle the previous cell's instance left behind; a
+    one-worker pool runs every batch in-process on a fresh one.
+    """
     if request.param == "serial":
         yield SerialBackend()
-    elif request.param == "batch":
-        yield BatchBackend()
+    elif request.param == "reference":
+        yield SerialBackend(compiled=False)
     else:
         # chunk_size=2 gives every worker chunk a trial to reuse.
-        with ProcessPoolBackend(
-            workers=2,
-            chunk_size=2,
-            shared_memory=request.param == "shm",
-        ) as pool:
+        workers = int(request.param.split(":")[1])
+        with ProcessPoolBackend(workers=workers, chunk_size=2) as pool:
             yield pool
 
 
@@ -92,7 +97,7 @@ class TestOutcomesMatchTheDefinition:
         assert got == expected
 
 
-class _CountingBackend(BatchBackend):
+class _CountingBackend(SerialBackend):
     """Counts whole-instance runs: one per executed trial."""
 
     def __init__(self) -> None:
@@ -152,3 +157,36 @@ class TestExecutionCounts:
         instance = cell.family.instance(cell.family.quick[0])
         runs, _ = _count(cell, lambda trial: instance)
         assert runs == TRIALS
+
+
+def _pooled_and_serial(cell, trials):
+    instance = cell.family.instance(cell.family.quick[0])
+
+    def batch(backend):
+        return backend.run_trial_batch(
+            cell.problem.make(),
+            FixedInstanceFactory(instance),
+            cell.algorithm.make(),
+            range(trials),
+            base_seed=cell.algorithm.seed,
+        )
+
+    with ProcessPoolBackend(workers=2) as pool:
+        pooled = batch(pool)
+        chunks = len(pool._chunk(list(range(trials))))
+    return pooled, batch(SerialBackend()), chunks
+
+
+class TestPoolDispatch:
+    def test_deterministic_fixed_batch_submits_nothing(self, submissions):
+        cell = _cell("cycle/2-coloring", "cycle")
+        pooled, serial, _ = _pooled_and_serial(cell, 32)
+        assert submissions == []
+        assert pooled == serial
+
+    def test_randomized_fixed_batch_keeps_its_chunking(self, submissions):
+        cell = _cell("leaf-coloring/rw-to-leaf", "leaf-coloring")
+        pooled, serial, chunks = _pooled_and_serial(cell, 32)
+        assert chunks == 8  # ~4 chunks per worker
+        assert len(submissions) == chunks
+        assert pooled == serial

@@ -5,8 +5,9 @@ unlinks it at the end of the dispatch that published it — success,
 worker exception, or ``close()`` — so ``published_segments()`` is empty
 and ``/dev/shm`` holds no new ``psm_*`` entries after every backend
 interaction.  Attached instances must round-trip the complete oracle
-surface, and results must be bitwise identical with shared memory on,
-off, and serial.
+surface.  The pool picks the transport: a node run of a materialized
+instance goes by shared memory, while a spec, a trial batch and a run
+whose publish failed go by pickle — each bitwise identical to serial.
 """
 
 import os
@@ -19,15 +20,19 @@ from repro.algorithms.balanced_tree_algs import BalancedTreeDistanceSolver
 from repro.algorithms.leaf_coloring_algs import RWtoLeaf
 from repro.exec import shm
 from repro.exec.backends import (
+    BACKEND_SPEC_GRAMMAR,
     FixedInstanceFactory,
     ProcessPoolBackend,
     SerialBackend,
     get_backend,
+    parse_backend_spec,
 )
+from repro.faults.plan import FaultInjector, FaultPlan
 from repro.graphs.generators import (
     balanced_tree_instance,
     leaf_coloring_instance,
 )
+from repro.model.implicit import InstanceSpec
 from repro.model.probe import ProbeAlgorithm
 from repro.model.runner import run_algorithm
 from repro.problems.leaf_coloring import LeafColoring
@@ -137,43 +142,79 @@ class TestBackendLifecycle:
         assert shm.published_segments() == []
 
 
-class TestEquivalence:
-    def test_shm_and_pickle_transport_are_bitwise_identical(self):
-        serial = run_algorithm(
-            INSTANCE, BalancedTreeDistanceSolver(), backend=SerialBackend()
-        )
-        for shared in (True, False):
-            with ProcessPoolBackend(
-                workers=2, chunk_size=4, shared_memory=shared
-            ) as pool:
-                pooled = run_algorithm(
-                    INSTANCE, BalancedTreeDistanceSolver(), backend=pool
-                )
-            assert pooled.outputs == serial.outputs
-            assert pooled.profiles == serial.profiles
+@pytest.fixture
+def publishes(monkeypatch):
+    """Every instance the backends publish to shared memory."""
+    published = []
+    real = shm.publish_instance
 
-    def test_randomized_trials_identical_across_transports(self):
+    def counting(instance):
+        published.append(instance)
+        return real(instance)
+
+    monkeypatch.setattr(shm, "publish_instance", counting)
+    return published
+
+
+def _serial_and_pooled(instance, algorithm, seed=0, **pool_kwargs):
+    serial = run_algorithm(instance, algorithm, seed=seed,
+                           backend=SerialBackend())
+    with ProcessPoolBackend(workers=2, chunk_size=4, **pool_kwargs) as pool:
+        pooled = run_algorithm(instance, algorithm, seed=seed, backend=pool)
+        events = [event.kind for event in pool.fault_log]
+    assert pooled.outputs == serial.outputs
+    assert pooled.profiles == serial.profiles
+    return events
+
+
+class TestEquivalence:
+    """Each transport the pool picks is bitwise identical to serial."""
+
+    def test_node_run_of_an_instance_publishes_once(
+        self, publishes, submissions
+    ):
+        events = _serial_and_pooled(INSTANCE, BalancedTreeDistanceSolver())
+        assert publishes == [INSTANCE]
+        assert events == []
+        assert submissions
+
+    def test_node_run_after_a_failed_publish_goes_by_pickle(
+        self, publishes, submissions
+    ):
+        plan = FaultPlan(kinds=("shm-publish-fail",), rate=1.0, max_faults=1)
+        events = _serial_and_pooled(
+            LEAF_INSTANCE, RWtoLeaf(), seed=5,
+            fault_injector=FaultInjector(plan),
+        )
+        assert publishes == []
+        assert "shm-publish" in events
+        assert submissions
+
+    def test_node_run_on_a_spec_goes_by_pickle(self, publishes, submissions):
+        spec = InstanceSpec("leaf-coloring-hard", 4)
+        _serial_and_pooled(spec, RWtoLeaf(), seed=9)
+        assert publishes == []
+        assert submissions
+
+    def test_trial_batch_goes_by_pickle(self, publishes, submissions):
         factory = FixedInstanceFactory(LEAF_INSTANCE)
         baseline = SerialBackend().run_trial_batch(
             LeafColoring(), factory, RWtoLeaf(), range(8), base_seed=3
         )
-        for shared in (True, False):
-            with ProcessPoolBackend(
-                workers=2, chunk_size=2, shared_memory=shared
-            ) as pool:
-                outcomes = pool.run_trial_batch(
-                    LeafColoring(), factory, RWtoLeaf(), range(8),
-                    base_seed=3,
-                )
-            assert outcomes == baseline
+        with ProcessPoolBackend(workers=2, chunk_size=2) as pool:
+            outcomes = pool.run_trial_batch(
+                LeafColoring(), factory, RWtoLeaf(), range(8), base_seed=3
+            )
+        assert publishes == []
+        assert len(submissions) == 4
+        assert outcomes == baseline
 
-    def test_non_fixed_factory_uses_pickle_path(self):
-        """Per-trial instance draws cannot share one segment: still OK."""
+    def test_non_fixed_factory_falls_back_to_serial(self):
         def factory(trial):
             return LEAF_INSTANCE
 
-        # A local function does not pickle, so this also exercises the
-        # fall-back-to-serial safety net with shared memory enabled.
+        # A local function does not pickle, so this exercises the
+        # fall-back-to-serial safety net.
         with ProcessPoolBackend(workers=2, chunk_size=2) as pool:
             outcomes = pool.run_trial_batch(
                 LeafColoring(), factory, RWtoLeaf(), range(4), base_seed=3
@@ -185,28 +226,23 @@ class TestEquivalence:
 
 
 class TestSpecParsing:
-    def test_transport_suffixes(self):
-        shm_backend = get_backend("process:2:shm")
-        pickle_backend = get_backend("process:2:pickle")
+    def test_process_spec_builds_a_pool(self):
+        backend = get_backend("process:2")
         try:
-            assert shm_backend.workers == 2
-            assert shm_backend.shared_memory is True
-            assert pickle_backend.workers == 2
-            assert pickle_backend.shared_memory is False
-        finally:
-            shm_backend.close()
-            pickle_backend.close()
-
-    def test_default_transport_is_shared_memory(self):
-        backend = get_backend("process:3")
-        try:
-            assert backend.shared_memory is True
+            assert isinstance(backend, ProcessPoolBackend)
+            assert backend.workers == 2
         finally:
             backend.close()
 
-    def test_bad_transport_rejected(self):
-        with pytest.raises(ValueError, match="transport"):
-            get_backend("process:2:carrier-pigeon")
+    @pytest.mark.parametrize(
+        "spec",
+        ["batch", "process:2:shm", "process:2:pickle", "process:2:pigeon"],
+    )
+    def test_removed_specs_are_rejected_with_the_grammar(self, spec):
+        with pytest.raises(ValueError) as excinfo:
+            parse_backend_spec(spec)
+        assert BACKEND_SPEC_GRAMMAR in str(excinfo.value)
+        assert repr(spec) in str(excinfo.value)
 
 
 class TestChunking:

@@ -1,8 +1,8 @@
 """Property suite: *every* seeded fault plan must leave no trace.
 
 Hypothesis drives fault plans (seed x rate x budget x kind subsets)
-across transports, registry cells, and workload shapes; the invariants
-are always the same two:
+across registry cells and workload shapes, on whichever transport the
+pool picks; the invariants are always the same two:
 
 1. the chaotic result is bitwise equal to the fault-free serial run,
 2. ``/dev/shm`` is exactly as clean after the run as before it.
@@ -11,6 +11,7 @@ Resume after a crash is the result store's property, tested in
 ``tests/corpus/test_resume.py``.
 """
 
+import json
 import random
 
 from hypothesis import given, settings
@@ -21,7 +22,7 @@ from repro.faults.chaos import run_chaos, shm_entries
 from repro.faults.plan import FAULT_KINDS, FaultPlan
 from repro.graphs.generators import leaf_coloring_instance
 from repro.problems.leaf_coloring import LeafColoring
-from repro.cli import resolve_cell
+from repro.cli import main, resolve_cell
 from repro.registry import load_components
 
 SPEED = {"delay_s": 0.05}  # keep delay-chunk faults fast under test
@@ -53,15 +54,14 @@ def _plan_strategy():
 
 class TestChaosInvariants:
     @settings(max_examples=8, deadline=None)
-    @given(plan=_plan_strategy(), transport=st.sampled_from(["shm", "pickle"]))
-    def test_whole_instance_runs_survive_any_plan(self, plan, transport):
+    @given(plan=_plan_strategy())
+    def test_whole_instance_runs_survive_any_plan(self, plan):
         report = run_chaos(
             LeafColoring(),
             _instance(),
             RWtoLeaf(),
             plan=plan,
             workers=2,
-            transport=transport,
             seed=11,
             chunk_size=2,
         )
@@ -77,7 +77,6 @@ class TestChaosInvariants:
             RWtoLeaf(),
             plan=plan,
             workers=2,
-            transport="shm",
             seed=11,
             trials=8,
             chunk_size=2,
@@ -98,7 +97,6 @@ class TestChaosInvariants:
                     seed=seed, rate=0.6, max_faults=3, **SPEED
                 ),
                 workers=2,
-                transport="shm",
                 chunk_size=2,
             )
             assert report.ok, report.format_line()
@@ -110,3 +108,32 @@ class TestChaosInvariants:
 
         assert published_segments() == []
         assert isinstance(shm_entries(), set)
+
+
+class TestQuickMatrix:
+    def test_every_transport_takes_chunk_faults(self, capsys):
+        """``repro chaos --quick`` must still torture the pickle node stage.
+
+        With no transport option the pool picks the path: plan seed 2
+        fails the first publish, so one node run's chunks go by pickle.
+        """
+        code = main([
+            "chaos", "leaf-coloring/rw-to-leaf", "--quick",
+            "--delay", "0.05", "--json",
+        ])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0 and payload["ok"]
+        faulted = set()
+        for report in payload["reports"]:
+            assert report["equal"] and report["shm_clean"]
+            chunk_faults = [
+                event for event in report["events"]
+                if event["kind"].startswith("injected:")
+                and event["unit"] >= 0
+            ]
+            if chunk_faults:
+                shape = report["workload"].split("[")[0]
+                faulted.add((shape, report["transport"]))
+        assert faulted == {
+            ("run", "shm"), ("run", "pickle"), ("trials", "pickle")
+        }

@@ -4,8 +4,7 @@ Chunk outcomes are pure functions of ``(chunk, seed)`` (per-node tapes
 seeded from the node id), so supervision is purely a dispatch problem:
 whatever the fault plan kills, delays, corrupts, or degrades, the
 surviving result must equal the fault-free serial run *bit for bit*.
-Also covers the shared-memory hardening and the BatchBackend true-LRU
-oracle cache (the satellite regressions of the same PR).
+Also covers the shared-memory hardening.
 """
 
 import random
@@ -13,17 +12,10 @@ import warnings
 
 import pytest
 
-from repro.algorithms.leaf_coloring_algs import (
-    LeafColoringDistanceSolver,
-    RWtoLeaf,
-)
+from repro.algorithms.leaf_coloring_algs import RWtoLeaf
 from repro.exec import shm as shm_layer
 from repro.exec import backends as backends_module
-from repro.exec.backends import (
-    BatchBackend,
-    ProcessPoolBackend,
-    SerialBackend,
-)
+from repro.exec.backends import ProcessPoolBackend
 from repro.faults.plan import FaultInjector, FaultPlan
 from repro.faults.retry import RetryPolicy
 from repro.graphs.generators import leaf_coloring_instance
@@ -89,7 +81,7 @@ class TestFaultRecovery:
             max_faults=2,
             max_attempt=0,
         )
-        pool = _pool(plan, shared_memory=True)
+        pool = _pool(plan)
         try:
             chaotic = run_algorithm(
                 instance, RWtoLeaf(), seed=7, backend=pool
@@ -106,7 +98,7 @@ class TestFaultRecovery:
         plan = FaultPlan(
             seed=2, kinds=("shm-publish-fail",), rate=1.0, max_faults=1
         )
-        pool = _pool(plan, shared_memory=True)
+        pool = _pool(plan)
         try:
             chaotic = run_algorithm(
                 instance, RWtoLeaf(), seed=7, backend=pool
@@ -324,44 +316,3 @@ class TestShmHardening:
         ]
         assert len(relevant) == 1  # actionable, and said exactly once
 
-
-class TestBatchBackendLRU:
-    def test_eviction_is_least_recently_used(self):
-        backend = BatchBackend(max_cached=2)
-        a, b, c = (_instance(depth=3, seed=s) for s in (1, 2, 3))
-        oracle_a = backend._oracle_for(a)
-        backend._oracle_for(b)
-        # Touch a: it becomes most-recently used, so adding c must evict
-        # b (insertion-order caching would wrongly evict a here).
-        assert backend._oracle_for(a) is oracle_a
-        backend._oracle_for(c)
-        assert backend._oracle_for(a) is oracle_a  # still cached
-        assert len(backend._oracles) == 2
-        assert id(b) not in backend._oracles  # b was the LRU victim
-
-    def test_capacity_one(self):
-        backend = BatchBackend(max_cached=1)
-        a, b = (_instance(depth=3, seed=s) for s in (1, 2))
-        oracle_a = backend._oracle_for(a)
-        assert backend._oracle_for(a) is oracle_a
-        backend._oracle_for(b)
-        assert len(backend._oracles) == 1
-        assert backend._oracle_for(a) is not oracle_a  # rebuilt
-
-    def test_hit_equivalence_with_solver(self):
-        # The cache must be invisible to results: repeated runs on the
-        # same instance return bitwise-identical outputs.
-        backend = BatchBackend(max_cached=2)
-        instance = _instance(depth=4)
-        first = run_algorithm(
-            instance, LeafColoringDistanceSolver(), backend=backend
-        )
-        second = run_algorithm(
-            instance, LeafColoringDistanceSolver(), backend=backend
-        )
-        assert first.outputs == second.outputs
-        assert len(backend._oracles) == 1
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            BatchBackend(max_cached=0)

@@ -1,6 +1,10 @@
-"""`Labeling.get`: the read-only accessor validators and solvers use."""
+"""`Labeling.get`, the read-only accessor validators and solvers use,
+and iteration over the stored node ids."""
+
+from itertools import islice
 
 import repro.graphs.labelings as labelings_module
+from repro.graphs.generators import leaf_coloring_instance
 from repro.graphs.labelings import Labeling, NodeLabel
 
 
@@ -48,3 +52,15 @@ class TestGet:
         label = labeling[7]
         assert 7 in labeling
         assert labeling.get(7) is label
+
+
+class TestIter:
+    def test_iteration_yields_the_stored_node_ids_and_inserts_nothing(self):
+        # Bounded read: iteration that fell back to __getitem__(0),
+        # (1), ... would yield one extra item and grow the labeling.
+        labeling = leaf_coloring_instance(1).labeling
+        size = len(labeling)
+        items = list(islice(iter(labeling), size + 1))
+        assert items == list(labeling.nodes())
+        assert len(items) == size
+        assert len(labeling) == size

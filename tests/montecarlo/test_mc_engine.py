@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from repro.exec.backends import BatchBackend, SerialBackend
+from repro.exec.backends import SerialBackend
 from repro.graphs.generators import leaf_coloring_instance
 from repro.model.runner import success_probability
 from repro.montecarlo.engine import (
@@ -207,23 +207,21 @@ class TestDispatch:
             PROBLEM, INSTANCE, _walker(), policy, base_seed=5,
             backend=SerialBackend(),
         )
-        with BatchBackend() as batch:
-            batched = run_trials(
-                PROBLEM, INSTANCE, _walker(), policy, base_seed=5,
-                backend=batch,
-            )
+        by_spec = run_trials(
+            PROBLEM, INSTANCE, _walker(), policy, base_seed=5,
+            backend="serial",
+        )
         reference = run_trials(
             PROBLEM, INSTANCE, _walker(), policy, base_seed=5,
             backend="reference",
         )
-        assert serial.outcomes == batched.outcomes == reference.outcomes
+        assert serial.outcomes == by_spec.outcomes == reference.outcomes
 
     def test_fixed_instance_compiles_oracle_once_per_run(self, monkeypatch):
         """The streaming loop amortizes compilation across batches.
 
-        Regression: the serial path used to wrap *each* batch in a
-        transient BatchBackend, recompiling the fixed instance's oracle
-        once per batch (16 times for the default policy).
+        The serial backend keeps the oracle of the instance it ran
+        last, so every batch of a fixed instance reuses one compile.
         """
         import repro.exec.backends as backends
 

@@ -14,11 +14,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.exec.backends import (
-    BatchBackend,
     ProcessPoolBackend,
     SerialBackend,
     get_backend,
 )
+from repro.faults.plan import FaultInjector, FaultPlan
 from repro.model.runner import run_algorithm, solve_and_check
 from repro.registry import iter_compatible, load_components
 
@@ -27,6 +27,9 @@ CELLS = list(iter_compatible())
 CELL_IDS = ["{}@{}".format(c.algorithm.name, c.family.name) for c in CELLS]
 
 REFERENCE = SerialBackend(compiled=False)
+# Held across examples, so a run usually replaces the oracle the previous
+# example's instance left behind.
+HELD = SerialBackend()
 
 
 def _runs_match(reference, candidate):
@@ -106,7 +109,7 @@ class TestPropertyEquivalence:
             label="max_queries",
         )
         fast_backend = data.draw(
-            st.sampled_from(["serial", "batch"]), label="backend"
+            st.sampled_from(["fresh", "held"]), label="backend"
         )
         instance = cell.family.instance(param)
         algorithm = cell.algorithm.make()
@@ -124,7 +127,7 @@ class TestPropertyEquivalence:
             seed=seed,
             max_volume=max_volume,
             max_queries=max_queries,
-            backend=get_backend(fast_backend),
+            backend=SerialBackend() if fast_backend == "fresh" else HELD,
         )
         _runs_match(reference, compiled)
         if max_volume is not None or max_queries is not None:
@@ -154,35 +157,45 @@ class TestBackendsShareTheFastPath:
         "cell", CASES, ids=["{}@{}".format(c.algorithm.name, c.family.name)
                             for c in CASES]
     )
-    @pytest.mark.parametrize("shared", [True, False], ids=["shm", "pickle"])
-    def test_process_transport_matches_reference(self, cell, shared):
+    @pytest.mark.parametrize(
+        "publish_fails", [False, True], ids=["shm", "pickle"]
+    )
+    def test_process_transport_matches_reference(self, cell, publish_fails):
         """Both pool transports are bitwise-identical to the reference.
 
-        The shared-memory path swaps the instance's transport (published
-        CSR segment + O(1) handle) but must never change results; the
-        pickle path is today's semantics verbatim.  Leak-freedom is part
-        of the contract: every dispatch unlinks its segment.
+        A node run of a materialized instance goes by shared memory
+        (published CSR segment + O(1) handle); an injected publish
+        failure sends it by pickle instead.  Neither may change results.
+        Leak-freedom is part of the contract: every dispatch unlinks its
+        segment.
         """
         from repro.exec import shm
 
         param = cell.family.quick[0]
         instance = cell.family.instance(param)
         reference = _run(cell, instance, REFERENCE)
+        injector = None
+        if publish_fails:
+            injector = FaultInjector(
+                FaultPlan(kinds=("shm-publish-fail",), rate=1.0, max_faults=1)
+            )
         with ProcessPoolBackend(
-            workers=2, chunk_size=2, shared_memory=shared
+            workers=2, chunk_size=2, fault_injector=injector
         ) as pool:
             pooled = _run(cell, instance, pool)
             assert shm.published_segments() == []
+            kinds = [event.kind for event in pool.fault_log]
+        assert ("shm-publish" in kinds) == publish_fails
         _runs_match(reference, pooled)
 
-    def test_batch_backend_caches_compiled_oracle(self):
+    def test_serial_backend_keeps_compiled_oracle(self):
         cell = CELLS[0]
         instance = cell.family.instance(cell.family.quick[0])
-        with BatchBackend() as batch:
-            first = _run(cell, instance, batch)
-            oracle = batch._oracle_for(instance)
-            second = _run(cell, instance, batch)
-            assert batch._oracle_for(instance) is oracle
+        with SerialBackend() as serial:
+            first = _run(cell, instance, serial)
+            oracle = serial._oracle_for(instance)
+            second = _run(cell, instance, serial)
+            assert serial._oracle_for(instance) is oracle
         _runs_match(first, second)
 
     def test_reference_spec_resolves_to_uncompiled_serial(self):
