@@ -21,13 +21,15 @@ from typing import List, Optional, Tuple
 from repro.graphs.labelings import BALANCED, UNBALANCED
 from repro.graphs.tree_structure import (
     is_consistent,
+    is_internal,
     is_leaf,
     left_child_node,
     right_child_node,
 )
+from repro.model.batched import resolution_profile, tree_table
 from repro.model.congest import CongestAlgorithm, Message
 from repro.model.oracle import NodeInfo
-from repro.model.probe import ProbeAlgorithm, ProbeView
+from repro.model.probe import ProbeAlgorithm, ProbeView, execute_at
 from repro.model.views import ProbeTopology
 from repro.algorithms.generic import FullGatherAlgorithm
 from repro.problems.balanced_tree import is_compatible, reference_solution
@@ -118,6 +120,100 @@ class BalancedTreeDistanceSolver(ProbeAlgorithm):
             local = ball_to_instance(ball, view.n)
             return reference_solution(local)[start]
         return (BALANCED, label.parent)
+
+    def run_node_batch(self, oracle, nodes, tapes=None):
+        """Every start node's search over the oracle's predicate rows.
+
+        A node's row (:func:`_distance_row`) is what a fresh-memo
+        ``is_consistent`` and, for a consistent node, ``is_compatible``
+        answer there, with the port resolutions they issue; it covers
+        every predicate and child read the scalar :meth:`run` makes at
+        that node.  Each start replays the scalar loop over the rows:
+        the same frontier order with no ``seen`` set, the same first-hop
+        ports and the same layer limit, evaluating a node's row when the
+        scalar loop reaches it.  The profile is the
+        :func:`~repro.model.batched.resolution_profile` of those rows
+        (DESIGN.md §9.3).  A start that exhausts the horizon without a
+        leaf layer takes the scalar gather fallback, so it runs scalar.
+
+        ``None`` (the scalar loop) without a compiled oracle, and for any
+        subclass.
+        """
+        table = tree_table(oracle)
+        if type(self) is not BalancedTreeDistanceSolver or table is None:
+            return None
+        record = table.record
+        node_info = oracle.node_info
+        layers = _log2_ceil(oracle.n) + 3
+        triples = []
+        for start in nodes:
+            row, resolutions = record(_distance_row, start)
+            evaluated = {start: resolutions}
+            label = node_info(start).label
+            if row is None:
+                output = (BALANCED, None)
+            elif not row[0]:
+                output = (UNBALANCED, None)
+            elif row[1] is None:
+                output = (BALANCED, label.parent)
+            else:
+                output = _replay(record, start, label, layers, evaluated)
+                if output is None:
+                    output, profile = execute_at(oracle, self, start)
+                    triples.append((start, output, profile))
+                    continue
+            profile = resolution_profile(start, evaluated.values(), 0)
+            triples.append((start, output, profile))
+        return triples
+
+
+def _distance_row(topo, v):
+    """The distance solver's predicates at ``v``, for a table row.
+
+    ``None`` if ``v`` is inconsistent, else ``(compatible, left,
+    right)``: ``v``'s Definition 4.2 verdict and, when ``v`` is internal,
+    the nodes ``LC(v)`` and ``RC(v)`` lead to (both ``None`` for a leaf).
+    """
+    if not is_consistent(topo, v):
+        return None
+    compatible = is_compatible(topo, v)
+    if not is_internal(topo, v):
+        return (compatible, None, None)
+    return (compatible, left_child_node(topo, v), right_child_node(topo, v))
+
+
+def _replay(record, start, label, layers, evaluated):
+    """The scalar search from a compatible internal ``start``.
+
+    Returns its output, or ``None`` when no leaf layer lies within
+    ``layers`` layers (the scalar run's gather fallback).  ``evaluated``
+    gains the row of every node the scalar loop reaches, by node, when
+    it reaches it.
+    """
+    frontier = [(start, None)]
+    for _ in range(layers):
+        next_frontier = []
+        layer_has_leaf = False
+        for u, first_port in frontier:
+            row, evaluated[u] = record(_distance_row, u)
+            compatible, left, right = row
+            if u != start and not compatible:
+                return (UNBALANCED, first_port)
+            if left is None:
+                layer_has_leaf = True
+                continue
+            if u == start:
+                next_frontier.append((left, label.left_child))
+                next_frontier.append((right, label.right_child))
+            else:
+                next_frontier.append((left, first_port))
+                next_frontier.append((right, first_port))
+        if layer_has_leaf:
+            return (BALANCED, label.parent)
+        if not next_frontier:
+            break
+        frontier = next_frontier
+    return None
 
 
 @register_algorithm("balanced-tree/full-gather", problem="balanced-tree")

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 
-from repro.model.probe import ProbeAlgorithm, ProbeView
+from repro.model.probe import ProbeAlgorithm, ProbeView, execute_at
 from repro.model.randomness import RandomnessModel
 from repro.algorithms.generic import FullGatherAlgorithm
 from repro.algorithms.hierarchical_algs import RecursiveHTHC, WaypointHTHC
@@ -60,6 +60,30 @@ class HHDistanceSolver(_HHDispatch):
             HybridDistanceSolver(k),
             name=f"hh-thc({k},{ell})/distance",
         )
+
+    def run_node_batch(self, oracle, nodes, tapes=None):
+        """Bit-1 starts through the Hybrid batch, bit-0 starts scalar.
+
+        A bit-1 start runs the Hybrid distance solver on its view, so it
+        takes that batch's triple; a bit-0 start runs
+        :func:`~repro.model.probe.execute_at`, in node order.  ``None``
+        (the scalar loop) for any subclass, and whenever the Hybrid
+        batch declines.
+        """
+        if type(self) is not HHDistanceSolver:
+            return None
+        node_info = oracle.node_info
+        hybrid = [node_info(v).label.bit != 0 for v in nodes]
+        solved = self._bit1.run_node_batch(
+            oracle, [v for v, h in zip(nodes, hybrid) if h]
+        )
+        if solved is None:
+            return None
+        solved = iter(solved)
+        return [
+            next(solved) if h else (v, *execute_at(oracle, self, v))
+            for v, h in zip(nodes, hybrid)
+        ]
 
 
 @register_algorithm(

@@ -21,7 +21,7 @@ import math
 from typing import List, Optional
 
 from repro.graphs.labelings import DECLINE, EXEMPT
-from repro.model.probe import ProbeAlgorithm, ProbeView
+from repro.model.probe import CostProfile, ProbeAlgorithm, ProbeView
 from repro.model.randomness import RandomnessModel
 from repro.model.views import ProbeTopology
 from repro.algorithms.balanced_tree_algs import BalancedTreeDistanceSolver
@@ -58,6 +58,34 @@ class HybridDistanceSolver(ProbeAlgorithm):
         if lvl is None or lvl >= 2:
             return EXEMPT
         return self._balanced.run(view)
+
+    def run_node_batch(self, oracle, nodes, tapes=None):
+        """Exempt starts answer at once; the rest go through the
+        BalancedTree batch.
+
+        A start at level ⊥ or ≥ 2 returns ``EXEMPT`` before any query,
+        so its profile is the start alone.  Every other start runs the
+        BalancedTree solver on the same view, so it takes that batch's
+        triple.  ``None`` (the scalar loop) for any subclass, and
+        whenever the BalancedTree batch declines.
+        """
+        if type(self) is not HybridDistanceSolver:
+            return None
+        node_info = oracle.node_info
+        exempt = []
+        for start in nodes:
+            lvl = node_info(start).label.level
+            exempt.append(lvl is None or lvl >= 2)
+        solved = self._balanced.run_node_batch(
+            oracle, [v for v, x in zip(nodes, exempt) if not x]
+        )
+        if solved is None:
+            return None
+        solved = iter(solved)
+        return [
+            (start, EXEMPT, CostProfile(1, 0, 0, 0)) if x else next(solved)
+            for start, x in zip(nodes, exempt)
+        ]
 
 
 def gather_level_one_component(

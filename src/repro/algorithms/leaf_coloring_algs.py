@@ -27,8 +27,8 @@ from repro.graphs.tree_structure import (
     left_child_node,
     right_child_node,
 )
-from repro.model.batched import tree_table
-from repro.model.probe import CostProfile, ProbeAlgorithm, ProbeView
+from repro.model.batched import resolution_profile, tree_table
+from repro.model.probe import ProbeAlgorithm, ProbeView
 from repro.model.randomness import RandomnessModel
 from repro.model.views import ProbeTopology
 from repro.algorithms.generic import FullGatherAlgorithm
@@ -83,6 +83,65 @@ class LeafColoringDistanceSolver(ProbeAlgorithm):
         # No leaf within the limit (cannot happen on well-formed inputs,
         # Lemma 3.8); echo the input color as a safe fallback.
         return view.start_info.label.color
+
+    def run_node_batch(self, oracle, nodes, tapes=None):
+        """Every start node's search over the oracle's ``is_internal`` rows.
+
+        Each search replays the scalar :meth:`run`: the start's row, then
+        layers of LC-then-RC children with the same ``seen`` set and
+        layer limit, each new child's row, and the first leaf's color in
+        scalar order.  The scalar run resolves ports only inside
+        ``is_internal`` and ``is_leaf``.  A child of an internal node
+        names it as parent, so ``is_leaf(child)`` is ``not
+        is_internal(child)`` and its parent resolution is already in the
+        parent's row.  The profile is therefore the
+        :func:`~repro.model.batched.resolution_profile` of the rows the
+        search evaluated (DESIGN.md §9.3).
+
+        ``None`` (the scalar loop) without a compiled oracle, and for any
+        subclass.
+        """
+        table = tree_table(oracle)
+        if type(self) is not LeafColoringDistanceSolver or table is None:
+            return None
+        entry = table.entry
+        limit = _log2_ceil(oracle.n) + 1
+        triples = []
+        for start in nodes:
+            first = entry(start)
+            evaluated = [first.resolutions]
+            output = first.color
+            if first.internal:
+                leaf = _nearest_leaf(entry, start, first, limit, evaluated)
+                if leaf is not None:
+                    output = leaf.color
+            triples.append(
+                (start, output, resolution_profile(start, evaluated, 0))
+            )
+        return triples
+
+
+def _nearest_leaf(entry, start, first, limit, evaluated):
+    """The scalar search's leaf row, or ``None``; appends each row read."""
+    frontier = [first]
+    seen = {start}
+    for _ in range(limit):
+        next_frontier = []
+        for row in frontier:
+            # Frontier rows are internal, so both children exist.
+            for child in (row.left, row.right):
+                if child in seen:
+                    continue
+                seen.add(child)
+                child_row = entry(child)
+                evaluated.append(child_row.resolutions)
+                if not child_row.internal:
+                    return child_row
+                next_frontier.append(child_row)
+        if not next_frontier:
+            break
+        frontier = next_frontier
+    return None
 
 
 @register_algorithm("leaf-coloring/rw-to-leaf", problem="leaf-coloring", seed=7)
@@ -174,7 +233,7 @@ class RWtoLeaf(ProbeAlgorithm):
         triples = []
         for start in nodes:
             first = entry(start)
-            walked = [first]
+            walked = [first.resolutions]
             output = first.color
             steps = 0
             if first.internal:
@@ -191,46 +250,14 @@ class RWtoLeaf(ProbeAlgorithm):
                         output = row.color
                         break
                     row = entry(nxt)
-                    walked.append(row)
+                    walked.append(row.resolutions)
                     if not row.internal:
                         output = row.color
                         break
                     current = nxt
-            profile = _walk_profile(start, walked, steps)
+            profile = resolution_profile(start, walked, steps)
             triples.append((start, output, profile))
         return triples
-
-
-def _walk_profile(start: int, walked, steps: int) -> CostProfile:
-    """The scalar profile of a walk that evaluated the ``walked`` rows."""
-    # A key resolves to the same endpoint in every row, so merging keeps
-    # one entry per distinct query.  Every queried node is the start or
-    # an endpoint, so the BFS reaches every visited node: its size is the
-    # volume and its deepest level the explored-subgraph distance.
-    queried = {}
-    for row in walked:
-        queried.update(row.resolutions)
-    adjacency = {start: []}
-    for (node, _), endpoint in queried.items():
-        if endpoint is not None:
-            adjacency[node].append(endpoint)
-            adjacency.setdefault(endpoint, []).append(node)
-    depth = {start: 0}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for w in adjacency[u]:
-                if w not in depth:
-                    depth[w] = depth[u] + 1
-                    nxt.append(w)
-        frontier = nxt
-    return CostProfile(
-        volume=len(depth),
-        distance=max(depth.values()),
-        queries=len(queried),
-        random_bits=steps,
-    )
 
 
 @register_algorithm(

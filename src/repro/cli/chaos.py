@@ -12,7 +12,10 @@ failing seed reproduces the exact same fault schedule on re-run.
 whole-instance runs and two on trial batches.  The pool picks each
 job's transport: plan seed 2 fails the first node run's shared-memory
 publish, so one node run takes its chunk faults on the pickle
-transport, and trial batches always ship by pickle.
+transport.  A trial batch runs its first trial in-process and ships the
+rest by pickle when that trial read a random bit, as the default
+``leaf-coloring/rw-to-leaf`` trials do; a batch whose first trial read
+none is answered in-process and takes no chunk fault.
 
 Exit codes: 0 every report OK, 1 any divergence or shm residue,
 2 usage error.
@@ -48,7 +51,8 @@ def _quick_matrix(args: argparse.Namespace):
 
     Node runs under plan seeds 1 and 2 (seed 2 fails the shared-memory
     publish, so that run's chunks go by pickle), then two trial batches
-    of 12 (the Monte-Carlo shape, always pickle).
+    of 12 (the Monte-Carlo shape: trials after the first go by pickle
+    when the first read a random bit).
     """
     from repro.faults.plan import FaultPlan
 

@@ -45,9 +45,10 @@ to the scalar serial semantics, both enforced by the equivalence suites):
   directly (:mod:`repro.model.batched`) instead of through per-query
   :class:`~repro.model.probe.ProbeView` bookkeeping, the cycle
   algorithms answer a port-uniform cycle from one execution and one
-  pass over its ring, and the randomized random-walk leaf-coloring
-  algorithms walk the compiled oracle's tree table, reading the run's
-  own tape store.
+  pass over its ring, and the leaf-coloring random walks and the
+  deterministic tree-distance solvers (LeafColoring, BalancedTree,
+  Hybrid-THC, HH-THC) replay their predicates over the compiled
+  oracle's tree table, the walks reading the run's own tape store.
 * **Zero-copy shared memory** — for a node run of a materialized
   instance, :class:`ProcessPoolBackend` publishes the frozen instance
   once per dispatch into a :mod:`multiprocessing.shared_memory` segment
@@ -63,7 +64,9 @@ to the scalar serial semantics, both enforced by the equivalence suites):
 One shortcut sits in the trial loop every backend and pool worker runs:
 a fixed-instance trial that read no random bit has the same outcome
 under every seed, so the rest of its batch reuses it instead of
-executing again (:func:`_trial_outcomes`).
+executing again (:func:`_trial_outcomes`).  A pool runs the first trial
+of a fixed-instance batch in-process for the same reason, and fans out
+only the rest of a batch whose first trial read a bit.
 
 Fault tolerance: :class:`ProcessPoolBackend` dispatches are *supervised*
 by default — per-chunk timeouts, worker-crash detection, and a
@@ -214,8 +217,8 @@ class FixedInstanceFactory:
     (rather than the Monte-Carlo engine that popularized it) so the
     trial loop can recognize fixed-instance batches — it validates them
     through one topology and reuses a trial that read no random bit —
-    and the process pool can run a deterministic one in-process;
-    re-exported unchanged from :mod:`repro.montecarlo.engine`.
+    and the process pool can answer one whose first trial read no bit
+    in-process; re-exported unchanged from :mod:`repro.montecarlo.engine`.
     """
 
     def __init__(self, instance) -> None:
@@ -908,9 +911,10 @@ class ProcessPoolBackend(ExecutionBackend):
         Each worker runs its chunk on one :class:`SerialBackend`, which
         compiles a repeated instance once; trial seeds depend only on the
         indices, so the merged outcome list is identical to the serial
-        one.  A deterministic algorithm on a fixed instance reads no bit,
-        so its whole batch is one execution (:func:`_trial_outcomes`):
-        it runs in-process rather than once per chunk.
+        one.  On a fixed instance the first trial runs in-process: if it
+        read no random bit, every other seed gives its outcome
+        (:func:`_trial_outcomes`), so it answers the whole batch without
+        the pool; otherwise the remaining trials fan out.
         """
         indices = list(trial_indices)
         local = SerialBackend(compiled=self.compiled)
@@ -927,11 +931,16 @@ class ProcessPoolBackend(ExecutionBackend):
                 max_queries,
             )
 
-        if not algorithm.is_randomized and isinstance(
-            instance_factory, FixedInstanceFactory
-        ):
-            return serial_chunk(indices)
-        return self._fan_out(
+        head: List[TrialOutcome] = []
+        if indices and isinstance(instance_factory, FixedInstanceFactory):
+            head = serial_chunk(indices[:1])
+            indices = indices[1:]
+            if head[0].random_bits == 0:
+                return head + [
+                    replace(head[0], trial=trial, seed=base_seed + trial)
+                    for trial in indices
+                ]
+        return head + self._fan_out(
             "trials",
             indices,
             base_seed,

@@ -12,8 +12,10 @@ workload × one :class:`~repro.faults.plan.FaultPlan`:
 2. execute it again on a supervised :class:`ProcessPoolBackend` with the
    plan's :class:`~repro.faults.plan.FaultInjector` active — the pool
    picks the transport (a node run of a materialized instance goes by
-   shared memory unless the plan fails its publish; a spec or a trial
-   batch goes by pickle), and the report names the path it took;
+   shared memory unless the plan fails its publish; a spec goes by
+   pickle; a trial batch runs its first trial in-process and ships the
+   rest by pickle unless that trial read no random bit), and the report
+   names the path it took;
 3. compare outputs/profiles (or per-trial outcomes) for bit equality,
    and assert the shared-memory registry and ``/dev/shm`` are exactly
    as they started.
@@ -49,18 +51,23 @@ def shm_entries() -> "set[str]":
 
 
 def _transport(
-    instance, algorithm, workers: int, trials: Optional[int], fault_log: FaultLog
+    instance,
+    workers: int,
+    trials: Optional[int],
+    seed_free: bool,
+    fault_log: FaultLog,
 ) -> str:
     """The path the pool picked for a chaotic job's chunks.
 
-    A one-worker pool, and a fixed-instance trial batch of a
-    deterministic algorithm (one execution answers it), run in-process.
-    Any other trial batch and a spec ship by pickle; a node run of a
-    materialized instance ships by shared memory unless its publish
-    failed (the pool then logs a ``shm-publish`` fallback).  Chunks that
-    supervision degraded later show up in the fault log, not here.
+    A one-worker pool, and a fixed-instance trial batch whose first
+    trial read no random bit (``seed_free``: one execution answers it),
+    run in-process.  Any other trial batch and a spec ship by pickle; a
+    node run of a materialized instance ships by shared memory unless
+    its publish failed (the pool then logs a ``shm-publish`` fallback).
+    Chunks that supervision degraded later show up in the fault log,
+    not here.
     """
-    if workers == 1 or (trials is not None and not algorithm.is_randomized):
+    if workers == 1 or seed_free:
         return "in-process"
     if trials is not None or isinstance(instance, InstanceSpec):
         return "pickle"
@@ -157,6 +164,7 @@ def run_chaos(
         started = time.perf_counter()
         baseline = serial.run(instance, algorithm, seed=seed)
         baseline_s = time.perf_counter() - started
+        seed_free = False
     else:
         factory = FixedInstanceFactory(instance)
         started = time.perf_counter()
@@ -164,6 +172,7 @@ def run_chaos(
             problem, factory, algorithm, range(trials), base_seed=seed
         )
         baseline_s = time.perf_counter() - started
+        seed_free = bool(baseline) and baseline[0].random_bits == 0
     injector = FaultInjector(plan)
     pool = ProcessPoolBackend(
         workers=workers,
@@ -208,7 +217,7 @@ def run_chaos(
     )
     return ChaosReport(
         workload=workload,
-        transport=_transport(instance, algorithm, workers, trials, fault_log),
+        transport=_transport(instance, workers, trials, seed_free, fault_log),
         plan=plan,
         equal=equal,
         shm_clean=not leaked,

@@ -55,16 +55,19 @@ unbudgeted on the compiled engine — the dispatch gate in
 and no volume/query budget (truncation semantics stay with the scalar
 engine), and the kernel itself exists only on a compiled oracle.
 
-:class:`TreeTable` is the structure table the random-walk batches of
-``leaf-coloring/rw-to-leaf`` and ``leaf-coloring/secret-rw`` walk over
-(DESIGN.md §9.3): per node, what a fresh-memo ``is_internal(v)`` answers
-and which port resolutions it issues.  It reads no tape, so every run
-and trial on one compiled oracle shares it.
+:class:`TreeTable` holds the predicate rows the tree batches replay
+(DESIGN.md §9.3): per node, what a fresh-memo predicate answers and which
+port resolutions it issues.  The random-walk cells and
+``leaf-coloring/distance`` read its ``is_internal`` rows, the BalancedTree
+distance solver (and Hybrid-THC and HH-THC through it) its
+:meth:`TreeTable.record` rows.  It reads no tape, so every run and trial
+on one compiled oracle shares it.  :func:`resolution_profile` turns the
+rows one start node evaluated into that start's scalar profile.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.graphs.tree_structure import is_internal
 from repro.model.probe import CostProfile
@@ -275,8 +278,11 @@ class CsrGatherKernel:
         return ball, profile
 
 
+Resolutions = Tuple[Tuple[Tuple[int, int], Optional[int]], ...]
+
+
 class TreeEntry(NamedTuple):
-    """One node's row of a :class:`TreeTable`."""
+    """One node's ``is_internal`` row of a :class:`TreeTable`."""
 
     #: What ``is_internal(v)`` answers (Definition 3.3).
     internal: bool
@@ -288,21 +294,23 @@ class TreeEntry(NamedTuple):
     #: ``((node, port), endpoint)`` for every distinct port resolution a
     #: fresh-memo ``is_internal(v)`` issues, in issue order; ``endpoint``
     #: is ``None`` for a dangling or out-of-range port.
-    resolutions: Tuple[Tuple[Tuple[int, int], Optional[int]], ...]
+    resolutions: Resolutions
 
 
 class _RecordingTopology:
     """A :class:`~repro.graphs.tree_structure.Topology` over an oracle
     that records each distinct ``(node, port)`` resolution, memoized as
-    :class:`~repro.model.views.ProbeTopology` memoizes its queries.  It
-    carries no ``internal_memo``, so ``is_internal`` recomputes."""
+    :class:`~repro.model.views.ProbeTopology` memoizes its queries.  Its
+    ``internal_memo`` is fresh per recording; a repeated ``is_internal``
+    would only re-read memoized resolutions, so it records nothing less."""
 
-    __slots__ = ("_info", "_resolve", "resolved")
+    __slots__ = ("_info", "_resolve", "resolved", "internal_memo")
 
     def __init__(self, info, resolve) -> None:
         self._info = info
         self._resolve = resolve
         self.resolved: Dict[Tuple[int, int], Optional[int]] = {}
+        self.internal_memo: Dict[int, bool] = {}
 
     def label(self, node_id: int):
         return self._info(node_id).label
@@ -318,35 +326,57 @@ class _RecordingTopology:
 
 
 class TreeTable:
-    """Per-node tree structure of one compiled oracle, read through no tape.
+    """Per-node predicate rows of one compiled oracle, read through no tape.
 
-    :meth:`entry` runs the real ``is_internal`` once per node, through a
-    topology that records its port resolutions, and keeps the
-    :class:`TreeEntry`.  Through a :class:`~repro.model.views.ProbeTopology`
+    A row is what a predicate answers at a node when evaluated with a
+    fresh memo, run for real through a topology that records its port
+    resolutions.  Through a :class:`~repro.model.views.ProbeTopology`
     each of those resolutions is one query, and a later evaluation in the
     same execution re-reads memoized resolutions without querying, so an
-    execution that evaluates a set of nodes has queried exactly the
-    distinct resolutions of their entries.  Entries are built as they are
-    first asked for, so a run from a few start nodes pays only for the
-    nodes its walks reach.  One table is memoized per
+    execution that evaluates a set of rows has queried exactly the
+    distinct resolutions of those rows.  :meth:`entry` is the
+    ``is_internal`` row; :meth:`record` any other predicate's.  Rows are
+    built as they are first asked for, so a run from a few start nodes
+    pays only for the nodes it reaches.  One table is memoized per
     :class:`~repro.model.oracle.CompiledOracle` (see
     :meth:`~repro.model.oracle.CompiledOracle.tree_table`) and shared by
     every run and trial on it.
     """
 
-    __slots__ = ("_info", "_resolve", "_entries")
+    __slots__ = ("_info", "_resolve", "_entries", "_records")
 
     def __init__(self, oracle) -> None:
         self._info = oracle.node_info
         self._resolve = oracle.resolve
         self._entries: Dict[int, TreeEntry] = {}
+        self._records: Dict[object, Dict[int, tuple]] = {}
 
     def entry(self, node_id: int) -> TreeEntry:
-        """``node_id``'s row, built on first use."""
+        """``node_id``'s ``is_internal`` row, built on first use."""
         entry = self._entries.get(node_id)
         if entry is None:
             entry = self._entries[node_id] = self._build(node_id)
         return entry
+
+    def record(self, evaluate, node_id: int) -> Tuple[object, Resolutions]:
+        """``(evaluate(topology, node_id), resolutions)``, built on first use.
+
+        ``evaluate`` is a predicate over the
+        :class:`~repro.graphs.tree_structure.Topology` protocol, and must
+        read the instance only through the topology it is given;
+        ``resolutions`` are its distinct ``((node, port), endpoint)``
+        resolutions in issue order.  Rows are kept per ``evaluate`` and
+        node for the table's lifetime.
+        """
+        rows = self._records.get(evaluate)
+        if rows is None:
+            rows = self._records[evaluate] = {}
+        row = rows.get(node_id)
+        if row is None:
+            recorder = _RecordingTopology(self._info, self._resolve)
+            value = evaluate(recorder, node_id)
+            row = rows[node_id] = (value, tuple(recorder.resolved.items()))
+        return row
 
     def _build(self, node_id: int) -> TreeEntry:
         recorder = _RecordingTopology(self._info, self._resolve)
@@ -362,6 +392,74 @@ class TreeTable:
         return TreeEntry(
             internal, left, right, label.color, tuple(resolved.items())
         )
+
+
+def resolution_profile(
+    start: int, groups: Iterable[Resolutions], random_bits: int
+) -> CostProfile:
+    """The scalar profile of an execution that issued ``groups``.
+
+    ``groups`` are the resolution tuples of the rows an execution from
+    ``start`` evaluated, in its evaluation order.  A key resolves to the
+    same endpoint in every row, so merging keeps one entry per distinct
+    query.  Every queried node is the start or an endpoint, so volume is
+    the start plus the distinct endpoints, and distance is the deepest
+    BFS level from the start over the resolved edges (the explored-
+    subgraph distance, DESIGN.md §1.4).
+
+    One pass in evaluation order gives each endpoint its first
+    resolver's depth plus one.  Every node then has a neighbour one
+    level up, so its depth is the length of a path from the start; when
+    no resolved edge joins depths more than one apart, no path is
+    shorter either, and the depths are the BFS depths.  Otherwise (a
+    cycle closed across levels, or a group out of evaluation order) the
+    profile comes from a BFS over the merged edges.
+    """
+    queried: Dict[Tuple[int, int], Optional[int]] = {}
+    for group in groups:
+        queried.update(group)
+    depth = {start: 0}
+    exact = True
+    for (node, _), endpoint in queried.items():
+        if endpoint is None:
+            continue
+        near = depth.get(node)
+        far = depth.get(endpoint)
+        if far is None and near is not None:
+            depth[endpoint] = near + 1
+        elif near is None or far > near + 1 or near > far + 1:
+            exact = False
+            break
+    if not exact:
+        depth = _bfs_depths(start, queried)
+    return CostProfile(
+        volume=len(depth),
+        distance=max(depth.values()),
+        queries=len(queried),
+        random_bits=random_bits,
+    )
+
+
+def _bfs_depths(
+    start: int, queried: Dict[Tuple[int, int], Optional[int]]
+) -> Dict[int, int]:
+    """Node -> BFS depth from ``start`` over the resolved edges."""
+    adjacency: Dict[int, List[int]] = {start: []}
+    for (node, _), endpoint in queried.items():
+        if endpoint is not None:
+            adjacency.setdefault(node, []).append(endpoint)
+            adjacency.setdefault(endpoint, []).append(node)
+    depth = {start: 0}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for w in adjacency[u]:
+                if w not in depth:
+                    depth[w] = depth[u] + 1
+                    nxt.append(w)
+        frontier = nxt
+    return depth
 
 
 def gather_kernel(oracle) -> Optional[CsrGatherKernel]:
@@ -380,7 +478,7 @@ def tree_table(oracle) -> Optional[TreeTable]:
     """The memoized :class:`TreeTable` behind ``oracle``, or ``None``.
 
     As with :func:`gather_kernel`, only a compiled oracle carries one;
-    ``None`` sends a random-walk batch back to the scalar engine.
+    ``None`` sends a tree batch back to the scalar engine.
     """
     factory = getattr(oracle, "tree_table", None)
     return None if factory is None else factory()
@@ -391,5 +489,6 @@ __all__ = [
     "TreeEntry",
     "TreeTable",
     "gather_kernel",
+    "resolution_profile",
     "tree_table",
 ]

@@ -425,8 +425,13 @@ class ProbeAlgorithm:
         flat-array CSR kernel (:mod:`repro.model.batched`); the cycle
         algorithms over one scalar execution, whose profile every start
         node of a port-uniform cycle shares, and one pass over the ring;
-        the random-walk leaf-coloring algorithms over the compiled
-        oracle's tree table, one walk per start node.  Returning
+        the random-walk leaf-coloring algorithms and the tree-distance
+        solvers (LeafColoring, BalancedTree, and Hybrid-THC and HH-THC
+        through it) over the compiled oracle's tree table of predicate
+        rows, one replay of the scalar search per start node; a start
+        whose scalar run leaves what the rows cover (HH-THC's bit-0
+        population, BalancedTree's gather fallback) runs
+        :func:`execute_at` inside the batch.  Returning
         ``None`` — the default, and the right answer whenever the
         batch's argument does not cover ``oracle`` and ``nodes`` —
         selects the scalar engine.

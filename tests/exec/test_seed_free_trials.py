@@ -6,8 +6,9 @@ trial that read no random bit has the same outcome under every seed:
 with their own ``trial`` and ``seed`` (DESIGN.md §8.2).  The first class
 pins the outcomes against the definition, a per-trial ``solve_and_check``
 loop, on every registry cell and backend; the second counts executions;
-the third counts what a process pool submits: a deterministic cell's
-fixed batch is one execution, so the pool runs it in-process.
+the third counts what a process pool submits: the pool runs a fixed
+batch's first trial in-process, and a batch whose first trial read no
+bit is that one execution, so nothing reaches the pool.
 """
 
 import pytest
@@ -173,7 +174,8 @@ def _pooled_and_serial(cell, trials):
 
     with ProcessPoolBackend(workers=2) as pool:
         pooled = batch(pool)
-        chunks = len(pool._chunk(list(range(trials))))
+        # The first trial runs in-process; only the rest can fan out.
+        chunks = len(pool._chunk(list(range(1, trials))))
     return pooled, batch(SerialBackend()), chunks
 
 
@@ -184,9 +186,21 @@ class TestPoolDispatch:
         assert submissions == []
         assert pooled == serial
 
+    def test_zero_bit_randomized_fixed_batch_submits_nothing(
+        self, submissions
+    ):
+        # A randomized cell whose first trial read no bit: the same
+        # outcome under every seed, answered without the pool.
+        cell = _cell("hybrid-thc(2)/waypoint", "hybrid-thc(2)")
+        pooled, serial, _ = _pooled_and_serial(cell, 32)
+        assert cell.algorithm.make().is_randomized
+        assert serial[0].random_bits == 0
+        assert submissions == []
+        assert pooled == serial
+
     def test_randomized_fixed_batch_keeps_its_chunking(self, submissions):
         cell = _cell("leaf-coloring/rw-to-leaf", "leaf-coloring")
         pooled, serial, chunks = _pooled_and_serial(cell, 32)
-        assert chunks == 8  # ~4 chunks per worker
+        assert chunks == 8  # ~4 chunks per worker, over trials 1..31
         assert len(submissions) == chunks
         assert pooled == serial

@@ -114,6 +114,20 @@ PROBE_CELLS = [
 ]
 
 
+def _scalar_run(instance, algorithm):
+    """A run on the scalar engine, where every start builds a
+    ``ProbeTopology``: the compiled path answers the tree batches'
+    cells from per-oracle rows instead (DESIGN.md §9.3)."""
+    from repro.exec.backends import SerialBackend
+
+    return run_algorithm(
+        instance,
+        algorithm.make(),
+        seed=algorithm.seed,
+        backend=SerialBackend(compiled=False),
+    )
+
+
 @pytest.mark.parametrize(
     "cell",
     PROBE_CELLS,
@@ -121,19 +135,12 @@ PROBE_CELLS = [
 )
 def test_probe_topology_memo_changes_no_run(cell, monkeypatch):
     """``ProbeTopology.internal_memo`` leaves outputs and costs alone."""
-    from repro.exec.backends import SerialBackend
     from repro.model.views import ProbeTopology
 
     instance = _quick_instance(cell.family)
-    algorithm = cell.algorithm
 
     def run():
-        return run_algorithm(
-            instance,
-            algorithm.make(),
-            seed=algorithm.seed,
-            backend=SerialBackend(),
-        )
+        return _scalar_run(instance, cell.algorithm)
 
     memoized = run()
     init = ProbeTopology.__init__
@@ -164,11 +171,7 @@ def test_probe_topology_evaluates_each_node_once(algorithm, monkeypatch):
         return inner(t, v)
 
     monkeypatch.setattr(ts, "_is_internal", counting)
-    run_algorithm(
-        _quick_instance(cell.family),
-        cell.algorithm.make(),
-        seed=cell.algorithm.seed,
-    )
+    _scalar_run(_quick_instance(cell.family), cell.algorithm)
     assert evaluated
     assert len(evaluated) == len(set(evaluated))
 

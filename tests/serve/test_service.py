@@ -29,8 +29,11 @@ SLOW_MC = {
         "early_stop": False,
     },
 }
-# A solve-and-check that also takes tens of milliseconds.
-SLOW_SOLVE = {**SOLVE, "param": "128"}
+# A solve-and-check that also takes tens of milliseconds (~20 ms since
+# the cycle batch): several of the interpreter's 5 ms switch intervals,
+# so the event loop runs a short deadline's timer before the worker
+# thread finishes.  At n = 128 (~3 ms) the worker could finish first.
+SLOW_SOLVE = {**SOLVE, "param": "1024"}
 
 
 def fresh(payload, seed):
