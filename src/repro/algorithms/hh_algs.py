@@ -15,10 +15,14 @@ from __future__ import annotations
 
 import functools
 
-from repro.model.probe import ProbeAlgorithm, ProbeView, execute_at
+from repro.model.probe import ProbeAlgorithm, ProbeView
 from repro.model.randomness import RandomnessModel
 from repro.algorithms.generic import FullGatherAlgorithm
-from repro.algorithms.hierarchical_algs import RecursiveHTHC, WaypointHTHC
+from repro.algorithms.hierarchical_algs import (
+    RecursiveHTHC,
+    WaypointHTHC,
+    thc_replayer,
+)
 from repro.algorithms.hybrid_algs import (
     HybridDistanceSolver,
     HybridWaypointSolver,
@@ -62,15 +66,19 @@ class HHDistanceSolver(_HHDispatch):
         )
 
     def run_node_batch(self, oracle, nodes, tapes=None):
-        """Bit-1 starts through the Hybrid batch, bit-0 starts scalar.
+        """Bit-1 starts through the Hybrid batch, bit-0 starts replayed.
 
         A bit-1 start runs the Hybrid distance solver on its view, so it
-        takes that batch's triple; a bit-0 start runs
-        :func:`~repro.model.probe.execute_at`, in node order.  ``None``
-        (the scalar loop) for any subclass, and whenever the Hybrid
-        batch declines.
+        takes that batch's triple; a bit-0 start replays its
+        RecursiveHTHC(ℓ) run over the oracle's table rows
+        (:func:`~repro.algorithms.hierarchical_algs.thc_replayer`),
+        merged in node order.  Neither half reads a bit.  ``None`` (the
+        scalar loop) for any subclass, and whenever either half declines.
         """
         if type(self) is not HHDistanceSolver:
+            return None
+        replay = thc_replayer(oracle, None, self._bit0)
+        if replay is None:
             return None
         node_info = oracle.node_info
         hybrid = [node_info(v).label.bit != 0 for v in nodes]
@@ -81,7 +89,7 @@ class HHDistanceSolver(_HHDispatch):
             return None
         solved = iter(solved)
         return [
-            next(solved) if h else (v, *execute_at(oracle, self, v))
+            next(solved) if h else replay(self._bit0, v)
             for v, h in zip(nodes, hybrid)
         ]
 
@@ -103,6 +111,28 @@ class HHWaypointSolver(_HHDispatch):
             HybridWaypointSolver(k, factor=factor),
             name=f"hh-thc({k},{ell})/waypoint",
         )
+
+    def run_node_batch(self, oracle, nodes, tapes=None):
+        """Each start replayed by its own population's waypoint solver.
+
+        Starts dispatch one at a time by their bit, in node order, as
+        the scalar loop runs them, so both halves read the run's
+        ``tapes`` in the scalar order
+        (:func:`~repro.algorithms.hierarchical_algs.thc_replayer`).
+        ``None`` (the scalar loop) for any subclass, and when the replay
+        declines.
+        """
+        if type(self) is not HHWaypointSolver:
+            return None
+        bit0, bit1 = self._bit0, self._bit1
+        replay = thc_replayer(oracle, tapes, bit0, bit1)
+        if replay is None:
+            return None
+        node_info = oracle.node_info
+        return [
+            replay(bit0 if node_info(v).label.bit == 0 else bit1, v)
+            for v in nodes
+        ]
 
 
 @register_algorithm(

@@ -24,14 +24,18 @@ Implementation notes relative to the paper's pseudocode (Algorithm 2):
 * Truncated pointer walks automatically land in the dist > 2n^{1/k}
   branch (a truncated pointer has travelled 2n^{1/k}+1 steps), so
   neighboring executions always agree on which branch they are in.
+
+Every structure read goes through ``topo.row`` with a :class:`_Read`
+evaluator, so one copy of the recursion runs both live, over a
+:class:`~repro.model.views.ProbeTopology`, and replayed by
+``run_node_batch`` over a compiled oracle's table rows (DESIGN.md §9.3).
 """
 
 from __future__ import annotations
 
 import functools
-
 import math
-from typing import Dict, Optional
+from typing import Callable, Dict, NamedTuple, Optional
 
 from repro.graphs.labelings import BLUE, DECLINE, EXEMPT, RED
 from repro.graphs.tree_structure import (
@@ -42,6 +46,12 @@ from repro.graphs.tree_structure import (
     level_of,
     right_child_node,
 )
+from repro.model.batched import (
+    ReplayTopology,
+    ReplayView,
+    resolution_profile,
+    tree_table,
+)
 from repro.model.probe import ProbeAlgorithm, ProbeView
 from repro.model.randomness import RandomnessModel
 from repro.model.views import ProbeTopology
@@ -51,6 +61,34 @@ from repro.registry import register_algorithm
 
 _COLORED_OR_EXEMPT = (RED, BLUE, EXEMPT)
 _WAYPOINT_BITS = 24
+
+
+class _Read(NamedTuple):
+    """One structure read of Algorithm 2, as a table-row evaluator.
+
+    Compares and hashes by value (the predicate and its cap) and pickles
+    by reference to the predicate, so every solver with the same cap
+    shares one oracle's rows and stays picklable.
+    """
+
+    predicate: Callable
+    cap: Optional[int] = None
+
+    def __call__(self, topo, v):
+        if self.cap is None:
+            return self.predicate(topo, v)
+        return self.predicate(topo, v, self.cap)
+
+
+class _Reads(NamedTuple):
+    """The six structure reads of Algorithm 2 at one cap k."""
+
+    level: _Read
+    succ: _Read
+    pred: _Read
+    leaf: _Read
+    root: _Read
+    child: _Read
 
 
 class THCSolverBase(ProbeAlgorithm):
@@ -65,6 +103,14 @@ class THCSolverBase(ProbeAlgorithm):
         if k < 1:
             raise ValueError("k must be >= 1")
         self.k = k
+        self._reads = _Reads(
+            _Read(level_of, k),
+            _Read(backbone_next, k),
+            _Read(backbone_prev, k),
+            _Read(is_level_leaf),
+            _Read(is_level_root),
+            _Read(right_child_node),
+        )
 
     # -- hooks ----------------------------------------------------------
     def _solve_level_one(self, view, topo, v):
@@ -80,12 +126,31 @@ class THCSolverBase(ProbeAlgorithm):
 
     # -- engine ----------------------------------------------------------
     def run(self, view: ProbeView):
+        return self._start(view, ProbeTopology(view))
+
+    def _start(self, view, topo):
+        """Algorithm 2 at ``view.start``, reading structure through
+        ``topo`` (live or replayed)."""
         self._memo: Dict[int, object] = {}
-        topo = ProbeTopology(view)
-        lvl = level_of(topo, view.start, cap=self.k)
+        lvl = topo.row(self._reads.level, view.start)
         if lvl > self.k:
             return EXEMPT
         return self._solve(view, topo, view.start, lvl)
+
+    def run_node_batch(self, oracle, nodes, tapes=None):
+        """Each start's :meth:`run`, replayed over the oracle's table rows.
+
+        Every start runs this solver's own :meth:`_start` over a
+        :class:`~repro.model.batched.ReplayTopology` and a
+        :class:`~repro.model.batched.ReplayView`, in node order, reading
+        its bits from ``tapes``; its profile follows from the rows and
+        records it read (DESIGN.md §9.3).  ``None`` (the scalar loop) for
+        any subclass, and when :func:`thc_replayer` declines.
+        """
+        if type(self) not in (RecursiveHTHC, WaypointHTHC):
+            return None
+        replay = thc_replayer(oracle, tapes, self)
+        return None if replay is None else [replay(self, v) for v in nodes]
 
     def fallback(self, view: ProbeView):
         return EXEMPT
@@ -108,7 +173,7 @@ class THCSolverBase(ProbeAlgorithm):
     def _shallow_value(self, view, topo, v) -> Optional[object]:
         """Lines 1–4: if the component is shallow, its unanimous color."""
         thr = self.threshold(view)
-        seg = _walk_backbone(topo, v, self.k, limit=thr + 2)
+        seg = _walk_backbone(topo, v, self._reads, limit=thr + 2)
         if seg is None:
             return None
         nodes, is_cycle = seg
@@ -118,7 +183,7 @@ class THCSolverBase(ProbeAlgorithm):
         return view.info(anchor).label.color
 
     def _rc_value(self, view, topo, v, lvl):
-        child = right_child_node(topo, v)
+        child = topo.row(self._reads.child, v)
         if child is None:
             return DECLINE
         return self._solve(view, topo, child, lvl - 1)
@@ -136,6 +201,8 @@ class THCSolverBase(ProbeAlgorithm):
         # Lines 10-18: pointer walk.  u descends, w ascends, both skipping
         # nodes whose hung component declines (or is unprobed: non-waypoint).
         thr = self.threshold(view)
+        row = topo.row
+        reads = self._reads
 
         def rc_declines(x) -> bool:
             # Note: the "u not a level-ℓ leaf" / "w not a level-ℓ root"
@@ -152,8 +219,8 @@ class THCSolverBase(ProbeAlgorithm):
         u_done = w_done = False
         for _ in range(thr + 1):
             if not u_done:
-                if not is_level_leaf(topo, u) and rc_declines(u):
-                    nxt = backbone_next(topo, u, cap=self.k)
+                if not row(reads.leaf, u) and rc_declines(u):
+                    nxt = row(reads.succ, u)
                     if nxt is None:
                         u_done = True
                     else:
@@ -161,8 +228,8 @@ class THCSolverBase(ProbeAlgorithm):
                 else:
                     u_done = True
             if not w_done:
-                if not is_level_root(topo, w) and rc_declines(w):
-                    prev = backbone_prev(topo, w, cap=self.k)
+                if not row(reads.root, w) and rc_declines(w):
+                    prev = row(reads.pred, w)
                     if prev is None:
                         w_done = True
                     else:
@@ -173,7 +240,7 @@ class THCSolverBase(ProbeAlgorithm):
         if u == v:
             # v is a level-ℓ leaf whose hung component declined (see the
             # module docstring): v terminates its own run.
-            return view.start_info.label.color if dw <= thr else DECLINE
+            return view.info(v).label.color if dw <= thr else DECLINE
         if du + dw <= thr:
             # Line 23's condition matches u's own line-7 exit exactly, so
             # u's execution returns X precisely when the run assumes it.
@@ -184,7 +251,7 @@ class THCSolverBase(ProbeAlgorithm):
             )
             if u_exempt:
                 # Line 24: u outputs X; the run takes χin(P(u)).
-                parent = backbone_prev(topo, u, cap=self.k)
+                parent = row(reads.pred, u)
                 anchor = parent if parent is not None else u
                 return view.info(anchor).label.color
             # Line 26: u is a leaf whose component declined; the run takes
@@ -193,7 +260,7 @@ class THCSolverBase(ProbeAlgorithm):
         return DECLINE
 
 
-def _walk_backbone(topo, v, cap, limit):
+def _walk_backbone(topo, v, reads, limit):
     """The maximal backbone through ``v`` if reachable within ``limit``
     steps per direction; None if truncated (hence deep).
 
@@ -203,7 +270,7 @@ def _walk_backbone(topo, v, cap, limit):
     seen = {v}
     current = v
     for _ in range(limit):
-        nxt = backbone_next(topo, current, cap)
+        nxt = topo.row(reads.succ, current)
         if nxt is None:
             break
         if nxt in seen:
@@ -216,7 +283,7 @@ def _walk_backbone(topo, v, cap, limit):
     backward = []
     current = v
     for _ in range(limit):
-        prev = backbone_prev(topo, current, cap)
+        prev = topo.row(reads.pred, current)
         if prev is None:
             break
         if prev in seen:
@@ -227,6 +294,40 @@ def _walk_backbone(topo, v, cap, limit):
     else:
         return None  # truncated backward: deep
     return list(reversed(backward)) + forward, False
+
+
+def thc_replayer(oracle, tapes, *solvers):
+    """A function ``(solver, start) -> (start, output, profile)`` that
+    replays one of ``solvers`` from ``start``, or ``None``.
+
+    The replay runs the solver's own :meth:`THCSolverBase._start` over a
+    fresh :class:`~repro.model.batched.ReplayTopology` and
+    :class:`~repro.model.batched.ReplayView`; a start's profile is the
+    :func:`~repro.model.batched.resolution_profile` of the rows and
+    gather records it read and the bits it counted (DESIGN.md §9.3).
+    ``None`` (the scalar loop) without a compiled oracle, and when a
+    randomized solver has no tape store or reads other than private
+    tapes.  The caller checks exact types: a subclass may override any
+    step.
+    """
+    table = tree_table(oracle)
+    if table is None:
+        return None
+    for solver in solvers:
+        if solver.is_randomized and (
+            tapes is None or solver.randomness is not RandomnessModel.PRIVATE
+        ):
+            return None
+
+    def replay(solver, start):
+        topo = ReplayTopology(table)
+        view = ReplayView(oracle, start, tapes)
+        output = solver._start(view, topo)
+        return start, output, resolution_profile(
+            start, topo.noted, view.random_bits, topo.gathers
+        )
+
+    return replay
 
 
 @register_algorithm(

@@ -18,12 +18,10 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import List, Optional
 
 from repro.graphs.labelings import DECLINE, EXEMPT
 from repro.model.probe import CostProfile, ProbeAlgorithm, ProbeView
 from repro.model.randomness import RandomnessModel
-from repro.model.views import ProbeTopology
 from repro.algorithms.balanced_tree_algs import BalancedTreeDistanceSolver
 from repro.algorithms.generic import (
     FullGatherAlgorithm,
@@ -32,6 +30,7 @@ from repro.algorithms.generic import (
 from repro.algorithms.hierarchical_algs import (
     RecursiveHTHC,
     WaypointHTHC,
+    thc_replayer,
 )
 from repro.problems.balanced_tree import (
     _is_output_pair,
@@ -88,40 +87,6 @@ class HybridDistanceSolver(ProbeAlgorithm):
         ]
 
 
-def gather_level_one_component(
-    view: ProbeView, start: int, max_nodes: int
-) -> Optional[Ball]:
-    """BFS over the level-1 nodes reachable from ``start``.
-
-    Returns the gathered ball or None if the component exceeds
-    ``max_nodes`` (the caller then declines it).  Only explicit-level-1
-    nodes are expanded, so the gather never leaks into the THC scaffold.
-    """
-    ball = Ball(center=start, radius=max_nodes)
-    ball.info[start] = view.info(start)
-    ball.distance[start] = 0
-    frontier = [start]
-    while frontier:
-        nxt: List[int] = []
-        for u in frontier:
-            for port in view.info(u).ports:
-                info = view.query(u, port)
-                if info is None:
-                    continue
-                if info.label.level != 1:
-                    continue
-                ball.adjacency.setdefault(u, {})[port] = info.node_id
-                if info.node_id in ball.distance:
-                    continue
-                if len(ball.distance) + 1 > max_nodes:
-                    return None
-                ball.distance[info.node_id] = ball.distance[u] + 1
-                ball.info[info.node_id] = info
-                nxt.append(info.node_id)
-        frontier = nxt
-    return ball
-
-
 class _HybridTHCMixin:
     """Entry point, level-1 handling and exemption predicate for Hybrid
     solvers.
@@ -132,13 +97,23 @@ class _HybridTHCMixin:
     predicate is "RC answered a (β, p) pair" (Definition 6.1).
     """
 
-    def run(self, view: ProbeView):
+    def _start(self, view, topo):
         lvl = view.start_info.label.level
         if lvl is None or lvl > self.k:
             return EXEMPT
         self._memo = {}
-        topo = ProbeTopology(view)
         return self._solve(view, topo, view.start, lvl)
+
+    def run_node_batch(self, oracle, nodes, tapes=None):
+        """Each start's :meth:`run`, replayed as the hierarchical solvers
+        replay theirs, with every level-1 gather charged from its
+        component's record.  ``None`` for any subclass, and when
+        :func:`~repro.algorithms.hierarchical_algs.thc_replayer`
+        declines."""
+        if type(self) not in (HybridRecursiveSolver, HybridWaypointSolver):
+            return None
+        replay = thc_replayer(oracle, tapes, self)
+        return None if replay is None else [replay(self, v) for v in nodes]
 
     def fallback(self, view: ProbeView):
         lvl = view.start_info.label.level
@@ -157,9 +132,7 @@ class _HybridTHCMixin:
 
     def _solve_level_one(self, view, topo, v):
         # The gather always runs: its queries are this node's volume.
-        ball = gather_level_one_component(
-            view, v, self.component_budget(view)
-        )
+        ball = topo.level_one_component(v, self.component_budget(view))
         if ball is None:
             return DECLINE
         return self._component_outputs(view, ball)[v]

@@ -45,10 +45,11 @@ to the scalar serial semantics, both enforced by the equivalence suites):
   directly (:mod:`repro.model.batched`) instead of through per-query
   :class:`~repro.model.probe.ProbeView` bookkeeping, the cycle
   algorithms answer a port-uniform cycle from one execution and one
-  pass over its ring, and the leaf-coloring random walks and the
+  pass over its ring, and the leaf-coloring random walks, the
   deterministic tree-distance solvers (LeafColoring, BalancedTree,
-  Hybrid-THC, HH-THC) replay their predicates over the compiled
-  oracle's tree table, the walks reading the run's own tape store.
+  Hybrid-THC, HH-THC) and the THC family's recursive and waypoint
+  solvers replay their predicates over the compiled oracle's tree
+  table, the randomized ones reading the run's own tape store.
 * **Zero-copy shared memory** — for a node run of a materialized
   instance, :class:`ProcessPoolBackend` publishes the frozen instance
   once per dispatch into a :mod:`multiprocessing.shared_memory` segment

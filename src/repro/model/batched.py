@@ -63,15 +63,21 @@ distance solver (and Hybrid-THC and HH-THC through it) its
 :meth:`TreeTable.record` rows.  It reads no tape, so every run and trial
 on one compiled oracle shares it.  :func:`resolution_profile` turns the
 rows one start node evaluated into that start's scalar profile.
+
+The THC solvers run their own scalar code per start over a
+:class:`ReplayTopology`, which answers each structure read from a
+:meth:`TreeTable.record` row and each Hybrid-THC level-1 gather from a
+:class:`GatherRecord`, one per component, and notes both, and a
+:class:`ReplayView`, which counts the tape bits the code reads.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.graphs.tree_structure import is_internal
 from repro.model.probe import CostProfile
-from repro.model.views import Ball
+from repro.model.views import Ball, gather_level_one_component
 
 
 class CsrGatherKernel:
@@ -335,7 +341,8 @@ class TreeTable:
     same execution re-reads memoized resolutions without querying, so an
     execution that evaluates a set of rows has queried exactly the
     distinct resolutions of those rows.  :meth:`entry` is the
-    ``is_internal`` row; :meth:`record` any other predicate's.  Rows are
+    ``is_internal`` row; :meth:`record` any other predicate's, and
+    :meth:`level_one_record` a Hybrid-THC level-1 gather.  Rows are
     built as they are first asked for, so a run from a few start nodes
     pays only for the nodes it reaches.  One table is memoized per
     :class:`~repro.model.oracle.CompiledOracle` (see
@@ -349,7 +356,7 @@ class TreeTable:
         self._info = oracle.node_info
         self._resolve = oracle.resolve
         self._entries: Dict[int, TreeEntry] = {}
-        self._records: Dict[object, Dict[int, tuple]] = {}
+        self._records: Dict[object, Dict[int, object]] = {}
 
     def entry(self, node_id: int) -> TreeEntry:
         """``node_id``'s ``is_internal`` row, built on first use."""
@@ -366,7 +373,8 @@ class TreeTable:
         read the instance only through the topology it is given;
         ``resolutions`` are its distinct ``((node, port), endpoint)``
         resolutions in issue order.  Rows are kept per ``evaluate`` and
-        node for the table's lifetime.
+        node for the table's lifetime, so an evaluator that compares by
+        value shares its rows with every equal one.
         """
         rows = self._records.get(evaluate)
         if rows is None:
@@ -377,6 +385,34 @@ class TreeTable:
             value = evaluate(recorder, node_id)
             row = rows[node_id] = (value, tuple(recorder.resolved.items()))
         return row
+
+    def level_one_record(self, node_id: int, max_nodes: int) -> GatherRecord:
+        """The :class:`GatherRecord` of the level-1 gather from ``node_id``
+        with budget ``max_nodes`` (DESIGN.md §9.3).
+
+        Within the budget, a gather from any level-1 member of a component
+        queries every port of every member once, so its queries, edges and
+        ball are the same from every member: one record per component,
+        filed under each member.  A start off level 1 adds itself to its
+        neighbours' components, so its record is its own.  Over the
+        budget the gather stops at a point that depends on the member, so
+        that record serves ``node_id`` alone and is not kept.
+        """
+        records = self._records.get((GatherRecord, max_nodes))
+        if records is None:
+            records = self._records[(GatherRecord, max_nodes)] = {}
+        record = records.get(node_id)
+        if record is None:
+            record = GatherRecord(
+                self._info, self._resolve, node_id, max_nodes
+            )
+            ball = record.value
+            if ball is not None:
+                if self._info(node_id).label.level == 1:
+                    records.update(dict.fromkeys(ball.info, record))
+                else:
+                    records[node_id] = record
+        return record
 
     def _build(self, node_id: int) -> TreeEntry:
         recorder = _RecordingTopology(self._info, self._resolve)
@@ -394,18 +430,145 @@ class TreeTable:
         )
 
 
+class _QueryLog:
+    """The ``info`` / ``query`` surface of a view, over an oracle, that
+    logs every query as ``(node, endpoint)``, repeats included."""
+
+    __slots__ = ("info", "_resolve", "log")
+
+    def __init__(self, info, resolve) -> None:
+        self.info = info
+        self._resolve = resolve
+        self.log: List[Tuple[int, Optional[int]]] = []
+
+    def query(self, node_id: int, port: int):
+        endpoint = self._resolve(node_id, port)
+        self.log.append((node_id, endpoint))
+        return None if endpoint is None else self.info(endpoint)
+
+
+class GatherRecord:
+    """One level-1 component gather, run once and kept.
+
+    :func:`~repro.model.views.gather_level_one_component` from ``start``
+    runs over a view stand-in that logs every query; :attr:`value` is the
+    ball it returned (``None`` over the budget).  The gather queries
+    through the view, so a replayed execution is charged
+    :attr:`queries` each time it runs it, and its edges join the
+    execution's explored graph.  :attr:`volume` and :meth:`eccentricity`
+    are the profile of an execution that ran this gather and nothing
+    else.
+    """
+
+    __slots__ = ("value", "queries", "volume", "adjacency", "_eccentricity")
+
+    def __init__(self, info, resolve, start: int, max_nodes: int) -> None:
+        view = _QueryLog(info, resolve)
+        self.value = gather_level_one_component(view, start, max_nodes)
+        self.queries = len(view.log)
+        adjacency: Dict[int, set] = {start: set()}
+        for node, endpoint in view.log:
+            if endpoint is not None:
+                adjacency.setdefault(node, set()).add(endpoint)
+                adjacency.setdefault(endpoint, set()).add(node)
+        #: Node -> its neighbours over the logged edges.
+        self.adjacency = adjacency
+        self.volume = len(adjacency)
+        self._eccentricity: Dict[int, int] = {}
+
+    def eccentricity(self, node: int) -> int:
+        """The deepest BFS level from ``node`` over the logged edges,
+        computed once per node."""
+        ecc = self._eccentricity.get(node)
+        if ecc is None:
+            depth = _bfs_depths(node, {}, (self,))
+            ecc = self._eccentricity[node] = max(depth.values())
+        return ecc
+
+
+class ReplayTopology:
+    """The :class:`~repro.model.views.ProbeTopology` seams ``row`` and
+    ``level_one_component``, answered from a :class:`TreeTable`.
+
+    A structure read ``row(evaluate, v)`` returns the
+    :meth:`~TreeTable.record` row's value and notes its resolutions in
+    :attr:`noted`, in evaluation order; a level-1 gather returns its
+    :meth:`~TreeTable.level_one_record`'s ball and notes the record in
+    :attr:`gathers`, once per call.  The execution's profile is their
+    :func:`resolution_profile`.  Code that reads structure only through
+    these runs unchanged over this and over a live
+    :class:`~repro.model.views.ProbeTopology` (DESIGN.md §9.3); any other
+    read fails here.
+    """
+
+    __slots__ = ("_table", "noted", "gathers")
+
+    def __init__(self, table: TreeTable) -> None:
+        self._table = table
+        self.noted: List[Resolutions] = []
+        self.gathers: List[GatherRecord] = []
+
+    def row(self, evaluate, node_id: int):
+        value, resolutions = self._table.record(evaluate, node_id)
+        if resolutions:
+            self.noted.append(resolutions)
+        return value
+
+    def level_one_component(self, node_id: int, max_nodes: int):
+        record = self._table.level_one_record(node_id, max_nodes)
+        self.gathers.append(record)
+        return record.value
+
+
+class ReplayView:
+    """What a replayed execution reads of its :class:`~repro.model.probe.
+    ProbeView`: ``start``, ``start_info``, ``info``, ``n``, ``scope`` and
+    private-randomness bits.
+
+    Bits come from the run's :class:`~repro.model.randomness.TapeStore`,
+    one read per call as the scalar context counts them, so replaying the
+    scalar code in the scalar order leaves the store as the scalar loop
+    would.  Neither the visited set nor tape visibility is checked: the
+    replayed code must read only nodes it has resolved (DESIGN.md §9.3).
+    """
+
+    __slots__ = ("start", "n", "scope", "info", "random_bits", "_tape_for")
+
+    def __init__(self, oracle, start: int, tapes) -> None:
+        self.start = start
+        self.n = oracle.n
+        self.scope = oracle
+        self.info = oracle.node_info
+        self.random_bits = 0
+        self._tape_for = None if tapes is None else tapes.tape_for
+
+    @property
+    def start_info(self):
+        return self.info(self.start)
+
+    def random_bit(self, node_id: int, index: int) -> int:
+        self.random_bits += 1
+        return self._tape_for(node_id).bit(index)
+
+
 def resolution_profile(
-    start: int, groups: Iterable[Resolutions], random_bits: int
+    start: int,
+    groups: Iterable[Resolutions],
+    random_bits: int,
+    gathers: Sequence[GatherRecord] = (),
 ) -> CostProfile:
     """The scalar profile of an execution that issued ``groups``.
 
     ``groups`` are the resolution tuples of the rows an execution from
     ``start`` evaluated, in its evaluation order.  A key resolves to the
     same endpoint in every row, so merging keeps one entry per distinct
-    query.  Every queried node is the start or an endpoint, so volume is
-    the start plus the distinct endpoints, and distance is the deepest
-    BFS level from the start over the resolved edges (the explored-
-    subgraph distance, DESIGN.md §1.4).
+    query.  ``gathers`` are the :class:`GatherRecord` explorations it ran
+    through the view, one entry per run: every query of each is charged,
+    repeats included, on top of the distinct row keys.  Every queried
+    node is the start or an endpoint, so volume is the start plus the
+    distinct endpoints, and distance is the deepest BFS level from the
+    start over the resolved and gathered edges (the explored-subgraph
+    distance, DESIGN.md §1.4).
 
     One pass in evaluation order gives each endpoint its first
     resolver's depth plus one.  Every node then has a neighbour one
@@ -413,11 +576,31 @@ def resolution_profile(
     no resolved edge joins depths more than one apart, no path is
     shorter either, and the depths are the BFS depths.  Otherwise (a
     cycle closed across levels, or a group out of evaluation order) the
-    profile comes from a BFS over the merged edges.
+    profile comes from a BFS over the merged edges, and so does any
+    profile with gathers: a shared record is in another start's BFS
+    order, and its lateral edges close shorter paths.  An execution that
+    ran one gather and read no row is that record's own profile.
     """
     queried: Dict[Tuple[int, int], Optional[int]] = {}
     for group in groups:
         queried.update(group)
+    if gathers:
+        queries = len(queried) + sum(g.queries for g in gathers)
+        if not queried and len(gathers) == 1:
+            (record,) = gathers
+            return CostProfile(
+                volume=record.volume,
+                distance=record.eccentricity(start),
+                queries=queries,
+                random_bits=random_bits,
+            )
+        depth = _bfs_depths(start, queried, gathers)
+        return CostProfile(
+            volume=len(depth),
+            distance=max(depth.values()),
+            queries=queries,
+            random_bits=random_bits,
+        )
     depth = {start: 0}
     exact = True
     for (node, _), endpoint in queried.items():
@@ -441,23 +624,34 @@ def resolution_profile(
 
 
 def _bfs_depths(
-    start: int, queried: Dict[Tuple[int, int], Optional[int]]
+    start: int,
+    queried: Dict[Tuple[int, int], Optional[int]],
+    gathers: Iterable[GatherRecord] = (),
 ) -> Dict[int, int]:
-    """Node -> BFS depth from ``start`` over the resolved edges."""
+    """Node -> BFS depth from ``start`` over the resolved edges and the
+    edges of the gather records."""
     adjacency: Dict[int, List[int]] = {start: []}
     for (node, _), endpoint in queried.items():
         if endpoint is not None:
             adjacency.setdefault(node, []).append(endpoint)
             adjacency.setdefault(endpoint, []).append(node)
+    # Each record's own adjacency is read in place, not merged.
+    sources = [adjacency]
+    for record in gathers:
+        if all(record.adjacency is not s for s in sources):
+            sources.append(record.adjacency)
     depth = {start: 0}
     frontier = [start]
+    level = 0
     while frontier:
+        level += 1
         nxt = []
         for u in frontier:
-            for w in adjacency[u]:
-                if w not in depth:
-                    depth[w] = depth[u] + 1
-                    nxt.append(w)
+            for source in sources:
+                for w in source.get(u, ()):
+                    if w not in depth:
+                        depth[w] = level
+                        nxt.append(w)
         frontier = nxt
     return depth
 
@@ -486,6 +680,9 @@ def tree_table(oracle) -> Optional[TreeTable]:
 
 __all__ = [
     "CsrGatherKernel",
+    "GatherRecord",
+    "ReplayTopology",
+    "ReplayView",
     "TreeEntry",
     "TreeTable",
     "gather_kernel",

@@ -428,9 +428,12 @@ class ProbeAlgorithm:
         the random-walk leaf-coloring algorithms and the tree-distance
         solvers (LeafColoring, BalancedTree, and Hybrid-THC and HH-THC
         through it) over the compiled oracle's tree table of predicate
-        rows, one replay of the scalar search per start node; a start
-        whose scalar run leaves what the rows cover (HH-THC's bit-0
-        population, BalancedTree's gather fallback) runs
+        rows, one replay of the scalar search per start node; the THC
+        solvers (hierarchical, Hybrid and HH-THC) by running their own
+        ``run`` recursion per start over a replay topology and view that
+        answer from those rows and charge each Hybrid level-1 gather from
+        a per-component record.  A start whose scalar run leaves what the
+        rows cover (BalancedTree's gather fallback) runs
         :func:`execute_at` inside the batch.  Returning
         ``None`` — the default, and the right answer whenever the
         batch's argument does not cover ``oracle`` and ``nodes`` —

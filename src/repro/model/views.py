@@ -9,6 +9,9 @@
   distance-T algorithm is a probe algorithm that collects the radius-T
   ball.  The distance cost of such an execution is exactly T (Lemma 2.5's
   simulation argument), and its volume is the ball size.
+
+* :func:`gather_level_one_component` collects a Hybrid-THC level-1
+  component (a BalancedTree instance) up to a node budget.
 """
 
 from __future__ import annotations
@@ -49,6 +52,23 @@ class ProbeTopology:
             info = self._view.query(node_id, port)
             self._resolved[key] = None if info is None else info.node_id
         return self._resolved[key]
+
+    def row(self, evaluate, node_id: int):
+        """``evaluate(self, node_id)``, read live through this topology.
+
+        ``evaluate`` is a predicate over the :class:`Topology` protocol.
+        A batch replays the same call from
+        :meth:`~repro.model.batched.TreeTable.record` rows instead
+        (:class:`~repro.model.batched.ReplayTopology`), so code that reads
+        structure through ``row`` and :meth:`level_one_component` runs
+        unchanged on either.
+        """
+        return evaluate(self, node_id)
+
+    def level_one_component(self, node_id: int, max_nodes: int):
+        """:func:`gather_level_one_component` from ``node_id``, run live
+        through the view, every query charged."""
+        return gather_level_one_component(self._view, node_id, max_nodes)
 
 
 @dataclass
@@ -113,4 +133,38 @@ def gather_ball(view: ProbeView, radius: int, center: Optional[int] = None) -> B
         frontier = nxt
         if not frontier:
             break
+    return ball
+
+
+def gather_level_one_component(
+    view: ProbeView, start: int, max_nodes: int
+) -> Optional[Ball]:
+    """BFS over the level-1 nodes reachable from ``start``.
+
+    Returns the gathered ball or None if the component exceeds
+    ``max_nodes`` (the caller then declines it).  Only explicit-level-1
+    nodes are expanded, so the gather never leaks into the THC scaffold.
+    """
+    ball = Ball(center=start, radius=max_nodes)
+    ball.info[start] = view.info(start)
+    ball.distance[start] = 0
+    frontier = [start]
+    while frontier:
+        nxt: List[int] = []
+        for u in frontier:
+            for port in view.info(u).ports:
+                info = view.query(u, port)
+                if info is None:
+                    continue
+                if info.label.level != 1:
+                    continue
+                ball.adjacency.setdefault(u, {})[port] = info.node_id
+                if info.node_id in ball.distance:
+                    continue
+                if len(ball.distance) + 1 > max_nodes:
+                    return None
+                ball.distance[info.node_id] = ball.distance[u] + 1
+                ball.info[info.node_id] = info
+                nxt.append(info.node_id)
+        frontier = nxt
     return ball

@@ -8,6 +8,8 @@ the rows its scalar run evaluates (DESIGN.md §9.3).  These tests pin the
 outputs, every ``CostProfile`` field and the node order against per-node
 ``execute_at``; they check that every input the batches do not cover
 reaches the scalar loop, and count the scalar executions of a run.
+HH-THC's bit-0 starts replay RecursiveHTHC(ℓ) over the same table;
+``test_thc_batch.py`` pins that replay.
 """
 
 import itertools
@@ -513,7 +515,9 @@ class TestScalarExecutions:
         assert runs[0] == instance.n
         assert compiled == reference
 
-    def test_hh_executes_exactly_its_bit_zero_starts(self, monkeypatch):
+    def test_hh_executes_no_start_scalar(self, monkeypatch):
+        # Bit-1 starts take the Hybrid batch; bit-0 (RecursiveHTHC)
+        # starts replay their recursion over the same table.
         cell = _cell("hh-thc(2,3)/distance", "hh-thc(2,3)")
         instance = cell.family.instance((4, 4, 2))
         bit_zero = [
@@ -529,9 +533,10 @@ class TestScalarExecutions:
 
         monkeypatch.setattr(HHDistanceSolver, "run", counted)
         compiled = run_algorithm(instance, cell.algorithm.make())
-        assert started == bit_zero
+        assert started == []
         reference = run_algorithm(
             instance, cell.algorithm.make(),
             backend=SerialBackend(compiled=False),
         )
+        assert started == list(instance.graph.nodes())
         assert compiled == reference

@@ -1,15 +1,18 @@
 """The Hybrid solvers' shared level-1 solve is exact and scoped.
 
-``_HybridTHCMixin`` still gathers every level-1 component through the
-view, but solves the gathered component once per node set and oracle and
-hands every later start node its entry from that one output.  That is
-exact only if the node set fixes the ball, the balanced reference is
-insertion-order free (``test_reference_insertion_order.py``) and the
-level-1 solve reads no random bits.  This suite pins the result against
-runs that give every start node a fresh solver, counts the reference
-solves, checks that a solver reused on a second instance with the same
-node ids answers it afresh, and checks that the memo stays out of a
-pickled solver.
+``_HybridTHCMixin`` gathers a level-1 component at every start node and
+recursion step that asks for it: live through the view on the scalar
+path, and charged from one per-oracle gather record per component in a
+compiled batch (``test_thc_batch.py``).  Either way it solves the
+gathered component once per node set and oracle and hands every later
+start node its entry from that one output.  That is exact only if the
+node set fixes the ball, the balanced reference is insertion-order free
+(``test_reference_insertion_order.py``) and the level-1 solve reads no
+random bits.  This suite pins the result against runs that give every
+start node a fresh solver, counts the reference solves, checks that a
+solver reused on a second instance with the same node ids answers it
+afresh, and checks that no registry algorithm pickles its memo or an
+oracle.
 """
 
 import pickle
@@ -160,27 +163,37 @@ def test_reused_solver_answers_a_second_instance_afresh(cls):
     assert reused.profiles == fresh.profiles
 
 
-@pytest.mark.parametrize(
-    "make",
-    [
-        lambda: HybridRecursiveSolver(2),
-        lambda: HybridWaypointSolver(2),
-        lambda: HHWaypointSolver(2, 3),
-    ],
-    ids=["recursive", "waypoint", "hh-waypoint"],
+#: One compatible cell per registry algorithm, to run it on.
+ALGORITHM_CELLS = list(
+    {c.algorithm.name: c for c in iter_compatible()}.values()
 )
-def test_pickle_carries_neither_memo_nor_oracle(make, solves):
-    instance = hybrid_thc_instance(2, 3, 3, rng=random.Random(1))
+#: The solvers whose runs fill the per-oracle level-1 memo.
+MEMO_SOLVERS = (HybridRecursiveSolver, HybridWaypointSolver, HHWaypointSolver)
+
+
+@pytest.mark.parametrize(
+    "cell", ALGORITHM_CELLS, ids=lambda c: c.algorithm.name
+)
+def test_pickle_carries_neither_memo_nor_oracle(cell, solves):
+    """Every registry algorithm pickles, fresh and after a compiled whole
+    run, without its per-oracle memo or the oracle, and a restored copy
+    answers as a fresh one does.  An unpicklable solver would silently
+    run a pool's whole dispatch in-process."""
+    instance = cell.family.instance(cell.family.quick[-1])
+    make, seed = cell.algorithm.make, cell.algorithm.seed
     fresh_size = len(pickle.dumps(make()))
     used = make()
-    run_algorithm(instance, used, seed=5)
-    assert solves  # the run did fill the memo
+    run_algorithm(instance, used, seed=seed)
+    solved = len(solves)
+    if cell.algorithm.cls in MEMO_SOLVERS:
+        assert solved  # the run did fill the memo
     blob = pickle.dumps(used)
     assert len(blob) < fresh_size + 64
-    assert b"Oracle" not in blob
+    for name in (b"Oracle", b"TreeTable", b"GatherRecord"):
+        assert name not in blob
     solves.clear()
     restored = pickle.loads(blob)
-    again = run_algorithm(instance, restored, seed=5)
-    assert again.outputs == run_algorithm(instance, make(), seed=5).outputs
-    # The restored copy solved its components itself.
-    assert len(solves) == 2 * len(set(solves))
+    again = run_algorithm(instance, restored, seed=seed)
+    assert again == run_algorithm(instance, make(), seed=seed)
+    # The restored copy solved its level-1 components itself.
+    assert len(solves) == 2 * solved
