@@ -97,7 +97,10 @@ from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple
 from repro.exec import shm as shm_layer
 from repro.faults.plan import ShmAttachError, wrap_payload
 from repro.faults.retry import FaultEvent, FaultLog, RetryPolicy
+from repro.graphs.labelings import Instance
+from repro.graphs.tree_structure import InstanceTopology
 from repro.model.implicit import InstanceSpec, as_oracle, iter_node_ids
+from repro.model.oracle import CompiledOracle
 from repro.model.probe import CostProfile, ProbeAlgorithm, execute_at
 from repro.model.randomness import TapeStore
 from repro.model.runner import RunResult
@@ -247,9 +250,9 @@ def _trial_outcomes(
     the later trials of such a batch take it with their own ``trial``
     and ``seed`` instead of executing again.  Every trial of a fixed
     instance is validated through one topology, built (and a spec
-    materialized) once per batch (DESIGN.md §8.2).
+    materialized) once per batch by the backend (DESIGN.md §8.2).
     """
-    from repro.model.runner import solve_and_check, validation_topology
+    from repro.model.runner import solve_and_check
 
     fixed = isinstance(instance_factory, FixedInstanceFactory)
     seed_free: Optional[TrialOutcome] = None
@@ -262,7 +265,7 @@ def _trial_outcomes(
             continue
         source = instance_factory(trial)
         if topology is None or not fixed:
-            topology = validation_topology(source)
+            topology = backend.validation_topology(source)
         report = solve_and_check(
             problem,
             source,
@@ -403,6 +406,18 @@ class ExecutionBackend(abc.ABC):
         )
         return sum(o.valid for o in outcomes) / trials
 
+    def validation_topology(self, source) -> InstanceTopology:
+        """The topology :func:`~repro.model.runner.solve_and_check`
+        validates ``source`` through on this backend.
+
+        By default a fresh one from
+        :func:`~repro.model.runner.validation_topology`, which
+        materializes a spec and refuses one too large to validate.
+        """
+        from repro.model.runner import validation_topology
+
+        return validation_topology(source)
+
     # Backends that hold resources (a pool, a kept oracle) override these.
     def close(self) -> None:
         """Release any held resources (idempotent)."""
@@ -445,7 +460,18 @@ class SerialBackend(ExecutionBackend):
     ablations, a pool worker's trial chunk) build it once; a run of
     another instance replaces it, and :meth:`close` drops it.  A kept
     oracle holds its instance alive, which also keeps the identity check
-    sound.
+    sound.  A compiled oracle is a snapshot, so it is reused only while
+    the instance still holds the graph and labeling it compiled and
+    neither has been mutated through its own methods
+    (:meth:`~repro.model.oracle.CompiledOracle.is_current`): an
+    ``add_edge``, a ``labeling[v] = label`` or a replaced
+    ``instance.labeling`` compiles afresh.  A
+    :class:`~repro.graphs.labelings.NodeLabel` edited in place is not
+    seen; replace the label object instead.
+
+    A compiled backend validates a materialized instance through its kept
+    oracle (:meth:`validation_topology`): the compile happens there,
+    before the run, and the run reuses it.
     """
 
     name = "serial"
@@ -483,9 +509,22 @@ class SerialBackend(ExecutionBackend):
         )
         return self._assemble(instance, algorithm, triples)
 
+    def validation_topology(self, source) -> InstanceTopology:
+        """A compiled backend's topology for a materialized instance is
+        its kept oracle's (compiling it if need be): the labels and port
+        rows come from the oracle's tables, and the ``is_internal``
+        verdicts its tree table computed are already in the memo."""
+        if self.compiled and isinstance(source, Instance):
+            return self._oracle_for(source).validation_topology()
+        return super().validation_topology(source)
+
     def _oracle_for(self, instance):
         oracle = self._oracle
-        if oracle is None or oracle.instance is not instance:
+        if (
+            oracle is None
+            or oracle.instance is not instance
+            or (isinstance(oracle, CompiledOracle) and not oracle.is_current())
+        ):
             oracle = self._oracle = _make_oracle(instance, self.compiled)
         return oracle
 

@@ -43,6 +43,7 @@ from repro.graphs.port_graph import (
     PortEdge,
     PortGraph,
     PortGraphError,
+    PortRow,
 )
 
 
@@ -66,6 +67,9 @@ class FrozenPortGraph(GraphTraversalMixin):
         "_num_edges",
         "meta",
     )
+
+    #: A frozen graph never changes (see :attr:`PortGraph.mutations`).
+    mutations = 0
 
     def __init__(
         self,
@@ -271,6 +275,20 @@ class FrozenPortGraph(GraphTraversalMixin):
 
     def num_edges(self) -> int:
         return self._num_edges
+
+    def port_rows(self) -> Iterator[Tuple[int, PortRow]]:
+        """Every node with its port row, in dense-index order (the
+        :meth:`PortGraph.port_rows` read over the CSR columns)."""
+        ids = self._ids
+        offsets = self.port_offsets
+        endpoints = self.port_endpoints
+        for i, nid in enumerate(ids):
+            yield nid, tuple(
+                [
+                    None if e < 0 else ids[e]
+                    for e in endpoints[offsets[i] : offsets[i + 1]]
+                ]
+            )
 
     # ------------------------------------------------------------------
     # traversal (bfs_distances / ball / connected_components /

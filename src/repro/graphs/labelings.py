@@ -84,16 +84,28 @@ class Labeling:
 
     Missing nodes read as an empty label (all fields ⊥), which matches how
     the constructions treat nodes that carry no tree structure.
+
+    :attr:`mutations` counts the calls that put a label object in place
+    (``labeling[v] = label``, and ``labeling[v]`` when it inserts an
+    empty one); editing a :class:`NodeLabel`'s fields in place is not
+    counted.
     """
 
     def __init__(self, labels: Optional[Dict[int, NodeLabel]] = None) -> None:
         self._labels: Dict[int, NodeLabel] = dict(labels or {})
+        self._mutations = 0
+
+    @property
+    def mutations(self) -> int:
+        """How many label objects have been put in place (see above)."""
+        return self._mutations
 
     def __getitem__(self, node_id: int) -> NodeLabel:
         label = self._labels.get(node_id)
         if label is None:
             label = NodeLabel()
             self._labels[node_id] = label
+            self._mutations += 1
         return label
 
     def get(self, node_id: int) -> NodeLabel:
@@ -103,6 +115,7 @@ class Labeling:
 
     def __setitem__(self, node_id: int, label: NodeLabel) -> None:
         self._labels[node_id] = label
+        self._mutations += 1
 
     def __contains__(self, node_id: int) -> bool:
         return node_id in self._labels

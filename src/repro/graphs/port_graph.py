@@ -26,6 +26,11 @@ class PortGraphError(ValueError):
     """Raised when a construction step would violate port-graph invariants."""
 
 
+#: A node's port row: the neighbor behind each port ``1..k`` in order,
+#: ``None`` where the port dangles.
+PortRow = Tuple[Optional[int], ...]
+
+
 @dataclass(frozen=True)
 class PortEdge:
     """One ordered edge ``(u, v)`` together with its two port numbers.
@@ -134,6 +139,7 @@ class PortGraph(GraphTraversalMixin):
         self._degrees: Dict[int, int] = {}
         self._neighbor_sets: Dict[int, Set[int]] = {}
         self._num_edges = 0
+        self._mutations = 0
 
     # ------------------------------------------------------------------
     # construction
@@ -149,6 +155,7 @@ class PortGraph(GraphTraversalMixin):
         self._ports[node_id] = {p: None for p in range(1, num_ports + 1)}
         self._degrees[node_id] = 0
         self._neighbor_sets[node_id] = set()
+        self._mutations += 1
         return node_id
 
     def reserve_port(self, node_id: int, port: int) -> None:
@@ -164,6 +171,7 @@ class PortGraph(GraphTraversalMixin):
             )
         for p in range(1, port + 1):
             slots.setdefault(p, None)
+        self._mutations += 1
 
     def add_edge(self, u: int, u_port: int, v: int, v_port: int) -> None:
         """Connect ``u``'s port ``u_port`` with ``v``'s port ``v_port``."""
@@ -184,6 +192,7 @@ class PortGraph(GraphTraversalMixin):
         self._degrees[u] += 1
         self._degrees[v] += 1
         self._num_edges += 1
+        self._mutations += 1
 
     # ------------------------------------------------------------------
     # queries
@@ -191,6 +200,13 @@ class PortGraph(GraphTraversalMixin):
     @property
     def max_degree(self) -> int:
         return self._max_degree
+
+    @property
+    def mutations(self) -> int:
+        """How many construction calls (``add_node``, ``reserve_port``,
+        ``add_edge``) have changed this graph; a compiled table of it is
+        current while this count is unchanged."""
+        return self._mutations
 
     @property
     def num_nodes(self) -> int:
@@ -264,6 +280,31 @@ class PortGraph(GraphTraversalMixin):
 
     def num_edges(self) -> int:
         return self._num_edges
+
+    def port_rows(self) -> Iterator[Tuple[int, PortRow]]:
+        """Every node with its port row, in insertion order.
+
+        A row holds the neighbor behind ports ``1..num_ports`` (``None``
+        for a dangling port), which is what :meth:`neighbor_at` answers
+        port by port, read in one pass over the port table.  Like
+        :meth:`freeze`, raises :class:`PortGraphError` at a node whose
+        ports are not ``1..k``.
+        """
+        for node_id, slots in self._ports.items():
+            try:
+                row = tuple(
+                    [
+                        None if entry is None else entry[0]
+                        for entry in map(
+                            slots.__getitem__, range(1, len(slots) + 1)
+                        )
+                    ]
+                )
+            except KeyError:
+                raise PortGraphError(
+                    f"node {node_id} has non-contiguous ports {sorted(slots)}"
+                ) from None
+            yield node_id, row
 
     def freeze(self) -> "FrozenPortGraph":
         """Compile this graph into a read-only CSR :class:`FrozenPortGraph`.

@@ -67,16 +67,33 @@ class InstanceTopology:
     node's answer in :attr:`internal_memo`.  The topology therefore
     assumes its instance does not change while it is in use; build a new
     one after editing the instance.
+
+    ``labels``, ``rows`` and ``internal_memo`` prefill the three memos
+    with what is already known of the instance: a
+    :class:`~repro.model.oracle.CompiledOracle` passes copies of its
+    label and port-row tables and its ``is_internal`` memo
+    (:meth:`~repro.model.oracle.CompiledOracle.validation_topology`).
+    The topology inserts into these dicts on a miss.
     """
 
     __slots__ = ("_instance", "_labels", "_rows", "internal_memo")
 
-    def __init__(self, instance: Instance) -> None:
+    def __init__(
+        self,
+        instance: Instance,
+        labels: Optional[Dict[int, NodeLabel]] = None,
+        rows: Optional[Dict[int, Tuple[Optional[int], ...]]] = None,
+        internal_memo: Optional[Dict[int, bool]] = None,
+    ) -> None:
         self._instance = instance
-        self._labels: Dict[int, NodeLabel] = {}
-        self._rows: Dict[int, Tuple[Optional[int], ...]] = {}
+        self._labels: Dict[int, NodeLabel] = {} if labels is None else labels
+        self._rows: Dict[int, Tuple[Optional[int], ...]] = (
+            {} if rows is None else rows
+        )
         #: ``is_internal`` per node, filled in as :func:`is_internal` asks.
-        self.internal_memo: Dict[int, bool] = {}
+        self.internal_memo: Dict[int, bool] = (
+            {} if internal_memo is None else internal_memo
+        )
 
     @property
     def instance(self) -> Instance:

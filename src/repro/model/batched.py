@@ -86,11 +86,13 @@ class CsrGatherKernel:
     One kernel is memoized per :class:`~repro.model.oracle.CompiledOracle`
     (see :meth:`~repro.model.oracle.CompiledOracle.gather_kernel`), so
     its scratch arrays are shared by every start node of a whole-run
-    batch — the per-start cost is the BFS itself, nothing else.
+    batch — the per-start cost is the BFS itself, nothing else.  It
+    keeps the frozen graph and the oracle's ``NodeInfo`` table, not the
+    oracle.
     """
 
     __slots__ = (
-        "_oracle",
+        "_info",
         "_frozen",
         "_ids",
         "_offsets",
@@ -99,9 +101,8 @@ class CsrGatherKernel:
         "_stamp",
     )
 
-    def __init__(self, oracle) -> None:
-        frozen = oracle.frozen_graph
-        self._oracle = oracle
+    def __init__(self, frozen, info) -> None:
+        self._info = info
         self._frozen = frozen
         self._ids = frozen.node_ids()
         self._offsets = frozen.port_offsets
@@ -238,18 +239,17 @@ class CsrGatherKernel:
         reference solver runs on its output — see an identical value.
         The profile is the one the scalar engine would have measured.
         """
-        oracle = self._oracle
+        info = self._info
         ids = self._ids
         offsets = self._offsets
         endpoints = self._endpoints
-        node_info = oracle.node_info
+        frontier: List[int] = [self._frozen.dense_index(start_id)]
         ball = Ball(center=start_id, radius=radius)
         info_map = ball.info
         distance = ball.distance
         adjacency = ball.adjacency
-        info_map[start_id] = node_info(start_id)
+        info_map[start_id] = info[start_id]
         distance[start_id] = 0
-        frontier: List[int] = [self._frozen.dense_index(start_id)]
         depth_max = 0
         queries = 0
         for depth in range(1, radius + 1):
@@ -269,7 +269,7 @@ class CsrGatherKernel:
                     row[off - base + 1] = nid
                     if nid not in distance:
                         distance[nid] = depth
-                        info_map[nid] = node_info(nid)
+                        info_map[nid] = info[nid]
                         nxt.append(e)
             if not nxt:
                 break
@@ -348,13 +348,20 @@ class TreeTable:
     :class:`~repro.model.oracle.CompiledOracle` (see
     :meth:`~repro.model.oracle.CompiledOracle.tree_table`) and shared by
     every run and trial on it.
+
+    ``lookup`` answers ``node_info`` and ``resolve`` (a
+    :class:`~repro.model.oracle.CompiledTable` over the oracle's tables,
+    so the table holds no reference to the oracle).  Every ``is_internal``
+    verdict a row evaluation computes goes into ``internal``, the memo
+    the oracle's validation topologies read (DESIGN.md §6.2).
     """
 
-    __slots__ = ("_info", "_resolve", "_entries", "_records")
+    __slots__ = ("_info", "_resolve", "_internal", "_entries", "_records")
 
-    def __init__(self, oracle) -> None:
-        self._info = oracle.node_info
-        self._resolve = oracle.resolve
+    def __init__(self, lookup, internal: Dict[int, bool]) -> None:
+        self._info = lookup.node_info
+        self._resolve = lookup.resolve
+        self._internal = internal
         self._entries: Dict[int, TreeEntry] = {}
         self._records: Dict[object, Dict[int, object]] = {}
 
@@ -383,6 +390,7 @@ class TreeTable:
         if row is None:
             recorder = _RecordingTopology(self._info, self._resolve)
             value = evaluate(recorder, node_id)
+            self._internal.update(recorder.internal_memo)
             row = rows[node_id] = (value, tuple(recorder.resolved.items()))
         return row
 
@@ -416,7 +424,7 @@ class TreeTable:
 
     def _build(self, node_id: int) -> TreeEntry:
         recorder = _RecordingTopology(self._info, self._resolve)
-        internal = is_internal(recorder, node_id)
+        internal = self._internal[node_id] = is_internal(recorder, node_id)
         resolved = recorder.resolved
         label = self._info(node_id).label
         left = right = None

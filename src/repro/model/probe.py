@@ -141,8 +141,11 @@ class ProbeView:
         if not randomness.has_visibility:
             # The private-randomness discipline needs to know which nodes
             # this execution has visited; the view *is* that knowledge, so
-            # the predicate can only be bound once the view exists.
-            randomness.bind_visibility(self.is_visited)
+            # the predicate can only be bound once the view exists.  It is
+            # the visited dict's own membership test, not ``is_visited``,
+            # so the context holds no reference back to the view (which
+            # holds the context and the oracle).
+            randomness.bind_visibility(self._visited.__contains__)
         self._record_visit(oracle.node_info(start))
 
     # ------------------------------------------------------------------

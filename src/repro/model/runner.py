@@ -179,15 +179,22 @@ def solve_and_check(
 ) -> SolveReport:
     """Run the algorithm on the full instance and verify its output.
 
-    The output is validated through ``topology``, which defaults to
-    :func:`validation_topology` of ``instance`` (built before the run, so
-    a spec too large to validate is refused before it executes).  A
+    The output is validated through ``topology``, which defaults to the
+    backend's ``validation_topology(instance)``, built before the run so
+    that a spec too large to validate is refused before it executes.  On
+    a compiled serial backend that topology reads the kept oracle's
+    tables, so the instance is compiled once for the run and the check
+    together (DESIGN.md §6.2); elsewhere it is
+    :func:`validation_topology`.  A
     caller that checks many runs on one instance — a fixed-instance trial
     batch — builds it once and passes it to every call: the instance is
     then materialized, and each label and port row read, once.
     """
+    from repro.exec.backends import get_backend
+
+    backend = get_backend(backend)
     if topology is None:
-        topology = validation_topology(instance)
+        topology = backend.validation_topology(instance)
     run = run_algorithm(
         instance,
         algorithm,

@@ -15,7 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms.balanced_tree_algs import BalancedTreeDistanceSolver
-from repro.algorithms.leaf_coloring_algs import RWtoLeaf, SecretRWtoLeaf
+from repro.algorithms.leaf_coloring_algs import (
+    LeafColoringDistanceSolver,
+    RWtoLeaf,
+    SecretRWtoLeaf,
+)
 from repro.exec.backends import (
     ExecutionBackend,
     ProcessPoolBackend,
@@ -26,10 +30,18 @@ from repro.graphs.generators import (
     balanced_tree_instance,
     leaf_coloring_instance,
 )
+from repro.graphs.labelings import Labeling, other_color
 from repro.model.probe import ProbeAlgorithm
-from repro.model.runner import run_algorithm, success_probability
+from repro.model.runner import (
+    run_algorithm,
+    solve_and_check,
+    success_probability,
+)
 from repro.montecarlo.engine import TrialPolicy, run_trials
 from repro.problems.leaf_coloring import LeafColoring
+from repro.registry import ALGORITHMS, load_components
+
+load_components()
 
 
 @pytest.fixture(scope="module")
@@ -210,6 +222,23 @@ class TestSerialOracleReuse:
                 fresh = SerialBackend().run(instance, RWtoLeaf(), seed=seed)
                 assert_bitwise_equal(got, fresh)
 
+    def test_solve_and_check_compiles_once_per_unedited_instance(
+        self, monkeypatch
+    ):
+        instance = leaf_coloring_instance(4, rng=random.Random(2))
+        calls = _counting_as_oracle(monkeypatch)
+        held = SerialBackend()
+        reports = [
+            solve_and_check(
+                LeafColoring(), instance, LeafColoringDistanceSolver(),
+                backend=held,
+            )
+            for _ in range(3)
+        ]
+        assert calls == [instance]
+        assert all(r.valid for r in reports)
+        assert all(r.run == reports[0].run for r in reports)
+
     def test_close_drops_the_kept_oracle(self):
         instance = leaf_coloring_instance(3)
         backend = SerialBackend()
@@ -229,6 +258,97 @@ class TestSerialOracleReuse:
         del instance
         gc.collect()
         assert ref() is None
+
+
+def _flipped(labeling: Labeling) -> Labeling:
+    """A new labeling with every node's input colour flipped."""
+    flipped = labeling.copy()
+    for v in flipped:
+        label = flipped[v]
+        if label.color is not None:
+            label.color = other_color(label.color)
+    return flipped
+
+
+def _assert_held_equals_fresh(held, problem, instance, make):
+    got = solve_and_check(problem, instance, make(), backend=held)
+    fresh = solve_and_check(
+        problem, instance, make(), backend=SerialBackend()
+    )
+    assert_bitwise_equal(got.run, fresh.run)
+    assert got.valid == fresh.valid
+    assert got.violations == fresh.violations
+    return got
+
+
+class TestKeptOracleFollowsEdits:
+    """A held backend answers for the instance as it is now.
+
+    The kept compiled oracle is a snapshot, so it is reused only while
+    the instance holds the graph and labeling it compiled, unmutated.
+    """
+
+    def test_replaced_label_objects(self, monkeypatch):
+        instance = leaf_coloring_instance(3, rng=random.Random(1))
+        held = SerialBackend()
+        before = solve_and_check(
+            LeafColoring(), instance, LeafColoringDistanceSolver(),
+            backend=held,
+        )
+        calls = _counting_as_oracle(monkeypatch)
+        flipped = _flipped(instance.labeling)
+        for v in flipped:
+            instance.labeling[v] = flipped[v]
+        after = _assert_held_equals_fresh(
+            held, LeafColoring(), instance, LeafColoringDistanceSolver
+        )
+        assert after.run.outputs != before.run.outputs
+        assert after.valid
+        # One compile for the edit on the held backend, one fresh.
+        assert len(calls) == 2
+
+    def test_replaced_labeling(self):
+        instance = leaf_coloring_instance(3, rng=random.Random(1))
+        held = SerialBackend()
+        before = held.run(instance, LeafColoringDistanceSolver())
+        instance.labeling = _flipped(instance.labeling)
+        after = _assert_held_equals_fresh(
+            held, LeafColoring(), instance, LeafColoringDistanceSolver
+        )
+        assert after.run.outputs != before.outputs
+
+    def _dangling_pair(self, graph):
+        """Two leaves, each with a fresh dangling port."""
+        u, v = [w for w in graph.nodes() if graph.degree(w) == 1][:2]
+        for w in (u, v):
+            graph.reserve_port(w, graph.num_ports(w) + 1)
+        return (u, graph.num_ports(u)), (v, graph.num_ports(v))
+
+    def test_add_edge_on_a_dangling_port(self):
+        instance = leaf_coloring_instance(3, rng=random.Random(1))
+        (u, pu), (v, pv) = self._dangling_pair(instance.graph)
+        make = ALGORITHMS.get("leaf-coloring/full-gather").make
+        held = SerialBackend()
+        before = held.run(instance, make())
+        instance.graph.add_edge(u, pu, v, pv)
+        after = _assert_held_equals_fresh(
+            held, LeafColoring(), instance, make
+        )
+        assert after.run.profiles != before.profiles
+
+    def test_replaced_graph(self):
+        instance = leaf_coloring_instance(3, rng=random.Random(1))
+        (u, pu), (v, pv) = self._dangling_pair(instance.graph)
+        make = ALGORITHMS.get("leaf-coloring/full-gather").make
+        held = SerialBackend()
+        before = held.run(instance, make())
+        graph = instance.graph.copy()
+        graph.add_edge(u, pu, v, pv)
+        instance.graph = graph
+        after = _assert_held_equals_fresh(
+            held, LeafColoring(), instance, make
+        )
+        assert after.run.profiles != before.profiles
 
 
 class TestGetBackend:

@@ -1,10 +1,12 @@
 """A fixed-instance trial batch validates through one topology.
 
-``_trial_outcomes`` builds one ``InstanceTopology`` per fixed-instance
-batch — materializing an ``InstanceSpec`` once — and passes it through
-``solve_and_check`` to every trial's ``validate`` (DESIGN.md §8.2).  The
-outcomes must equal a fresh validation per trial; these tests count the
-materializations and topologies and pin the outcomes.
+``_trial_outcomes`` asks the backend for one topology per fixed-instance
+batch — materializing an ``InstanceSpec`` once; a compiled serial
+backend answers a materialized instance from its kept oracle — and
+passes it through ``solve_and_check`` to every trial's ``validate``
+(DESIGN.md §8.2).  The outcomes must equal a fresh validation per trial;
+these tests count the materializations, compiles and topologies and pin
+the outcomes.
 """
 
 import hashlib
@@ -13,7 +15,6 @@ import pytest
 
 from repro.algorithms.leaf_coloring_algs import RWtoLeaf
 from repro.exec.backends import SerialBackend
-from repro.graphs import tree_structure
 from repro.model.implicit import InstanceSpec
 from repro.montecarlo.engine import QUICK_POLICY, run_trials
 from repro.problems.leaf_coloring import LeafColoring
@@ -69,30 +70,66 @@ class TestOneTopologyPerBatch:
         assert _outcomes_digest(result) == SPEC_DIGESTS[(param, base_seed)]
 
     def test_every_trial_reads_the_batch_topology(self, monkeypatch):
-        topologies = []
-        original = LeafColoring.validate
+        """One compile per instance change, one topology per trial of a
+        per-trial factory and per batch of a fixed one, each over the
+        instance its trial ran."""
+        import repro.exec.backends as backends
 
-        def spy(self, instance, outputs, topology=None):
-            topologies.append(topology)
-            return original(self, instance, outputs, topology)
+        validated = []
+        original_validate = LeafColoring.validate
 
-        monkeypatch.setattr(LeafColoring, "validate", spy)
-        built = _count_calls(monkeypatch, tree_structure.InstanceTopology,
-                             "__init__")
-        instance = FAMILIES.get("leaf-coloring").instance(5)
+        def spy_validate(self, instance, outputs, topology=None):
+            validated.append(topology)
+            return original_validate(self, instance, outputs, topology)
+
+        ran = []
+        original_run = SerialBackend.run
+
+        def spy_run(self, instance, *args, **kwargs):
+            ran.append(instance)
+            return original_run(self, instance, *args, **kwargs)
+
+        compiled = []
+        real_as_oracle = backends.as_oracle
+
+        def counting(instance, mode="auto"):
+            compiled.append(instance)
+            return real_as_oracle(instance, mode=mode)
+
+        monkeypatch.setattr(LeafColoring, "validate", spy_validate)
+        monkeypatch.setattr(SerialBackend, "run", spy_run)
+        monkeypatch.setattr(backends, "as_oracle", counting)
+        family = FAMILIES.get("leaf-coloring")
+        first, second = family.instance(5), family.instance(4)
         with SerialBackend() as backend:
             backend.run_trial_batch(
-                LeafColoring(), lambda trial: instance, RWtoLeaf(), range(3)
+                LeafColoring(),
+                lambda trial: (first, second)[trial % 2],
+                RWtoLeaf(),
+                range(3),
             )
-            assert built[0] == 3
-            assert len({id(t) for t in topologies}) == 3
-            topologies.clear()
-            built[0] = 0
+            # The kept oracle is replaced whenever the instance changes.
+            assert compiled == [first, second, first]
+            assert len({id(t) for t in validated}) == 3
+            _assert_each_trial_reads_its_instance(ran, validated)
+            ran.clear()
+            validated.clear()
             result = run_trials(
-                LeafColoring(), instance, RWtoLeaf(), QUICK_POLICY,
+                LeafColoring(), first, RWtoLeaf(), QUICK_POLICY,
                 backend=backend,
             )
-        assert built[0] == 2
-        assert len(topologies) == result.trials
-        assert len({id(t) for t in topologies}) == 2
-        assert all(t.instance is instance for t in topologies)
+        # The held backend still holds ``first``: no compile, and one
+        # topology per batch of 8.
+        assert compiled == [first, second, first]
+        assert len(validated) == result.trials == 16
+        assert len({id(t) for t in validated}) == 2
+        _assert_each_trial_reads_its_instance(ran, validated)
+
+
+def _assert_each_trial_reads_its_instance(ran, validated):
+    assert len(ran) == len(validated)
+    for instance, topology in zip(ran, validated):
+        assert topology.instance is instance
+        for v in instance.graph.nodes():
+            assert topology.label(v) is instance.label(v)
+            assert topology.node_at(v, 1) == instance.graph.neighbor_at(v, 1)
