@@ -250,7 +250,7 @@ class Prop49Referee(Adversary):
         )
 
     def verify(self, run: AdversaryRun, backend=None) -> bool:
-        from repro.exec.backends import get_backend
+        from repro.exec.backends import owned_backend
 
         instance = run.instance
         if run.transcript.replay(as_oracle(instance, mode="reference")):
@@ -266,9 +266,8 @@ class Prop49Referee(Adversary):
         # Re-run from the root on the finished instance through the
         # ordinary backend machinery: output and query count reproduce.
         root = instance.meta["root"]
-        result = get_backend(backend).run(
-            instance, self.make_victim(), nodes=[root]
-        )
+        with owned_backend(backend) as engine:
+            result = engine.run(instance, self.make_victim(), nodes=[root])
         if repr(result.outputs[root]) != run.detail["output"]:
             return False
         return result.profiles[root].queries == run.queries

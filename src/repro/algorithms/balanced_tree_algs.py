@@ -15,33 +15,31 @@
 
 from __future__ import annotations
 
-import math
-from typing import List, Optional, Tuple
+from typing import Optional
 
 from repro.graphs.labelings import BALANCED, UNBALANCED
 from repro.graphs.tree_structure import (
     is_consistent,
     is_internal,
-    is_leaf,
     left_child_node,
     right_child_node,
 )
-from repro.model.batched import resolution_profile, tree_table
+from repro.model.batched import ReplayedAlgorithm, replayable
 from repro.model.congest import CongestAlgorithm, Message
 from repro.model.oracle import NodeInfo
-from repro.model.probe import ProbeAlgorithm, ProbeView, execute_at
-from repro.model.views import ProbeTopology
-from repro.algorithms.generic import FullGatherAlgorithm
+from repro.algorithms.generic import (
+    FullGatherAlgorithm,
+    ball_to_instance,
+    gather_component,
+)
+from repro.algorithms.leaf_coloring_algs import _log2_ceil
 from repro.problems.balanced_tree import is_compatible, reference_solution
 from repro.registry import register_algorithm
 
 
-def _log2_ceil(n: int) -> int:
-    return max(1, math.ceil(math.log2(max(2, n))))
-
-
+@replayable
 @register_algorithm("balanced-tree/distance", problem="balanced-tree")
-class BalancedTreeDistanceSolver(ProbeAlgorithm):
+class BalancedTreeDistanceSolver(ReplayedAlgorithm):
     """Proposition 4.8: deterministic distance O(log n).
 
     Output rules (matching Definition 4.3 and Lemma 4.7):
@@ -62,109 +60,50 @@ class BalancedTreeDistanceSolver(ProbeAlgorithm):
 
     name = "balanced-tree/distance"
 
-    def run(self, view: ProbeView):
-        topo = ProbeTopology(view)
+    def _start(self, view, topo):
         start = view.start
-        if not is_consistent(topo, start):
+        row = topo.row(_distance_row, start)
+        if row is None:
             return (BALANCED, None)
-        if not is_compatible(topo, start):
+        compatible, left, right = row
+        if not compatible:
             return (UNBALANCED, None)
         label = view.start_info.label
-        if is_leaf(topo, start):
+        if left is None:
             return (BALANCED, label.parent)
 
         # Compatible internal: BFS down LC/RC edges layer by layer, in
         # lexicographic order, until the first layer containing a leaf;
         # check compatibility of everything explored (including that
-        # layer).  Cap at log n + 2 layers (Lemma 3.8 guarantees a leaf).
-        limit = _log2_ceil(view.n) + 2
-        frontier: List[Tuple[int, Optional[int]]] = [(start, None)]
-        # (node, first-hop port from start)
-        leaf_layer_reached = False
-        for _depth in range(limit + 1):
-            next_frontier: List[Tuple[int, Optional[int]]] = []
+        # layer).  Cap at log n + 2 layers below the start (Lemma 3.8
+        # guarantees a leaf).  Every node below the start is a child of
+        # an internal node, so it is consistent and its row is not None.
+        # Entries are (node, first-hop port from start).
+        frontier = [(left, label.left_child), (right, label.right_child)]
+        for _ in range(_log2_ceil(view.n) + 2):
+            next_frontier = []
             layer_has_leaf = False
             for u, first_port in frontier:
-                if u != start and not is_compatible(topo, u):
+                compatible, left, right = topo.row(_distance_row, u)
+                if not compatible:
                     return (UNBALANCED, first_port)
-                if is_leaf(topo, u):
+                if left is None:
                     layer_has_leaf = True
-                    continue
-                u_label = view.info(u).label
-                for port_attr, child in (
-                    ("left_child", left_child_node(topo, u)),
-                    ("right_child", right_child_node(topo, u)),
-                ):
-                    if child is None:
-                        continue
-                    hop = (
-                        getattr(u_label, port_attr)
-                        if u == start
-                        else first_port
-                    )
-                    next_frontier.append((child, hop))
+                elif u == start:
+                    # Back at the start, round a G_T cycle.
+                    next_frontier.append((left, label.left_child))
+                    next_frontier.append((right, label.right_child))
+                else:
+                    next_frontier.append((left, first_port))
+                    next_frontier.append((right, first_port))
             if layer_has_leaf:
-                leaf_layer_reached = True
-                # Still must check the remainder of this layer's nodes'
-                # compatibility — done above as the layer was scanned.
-                break
-            if not next_frontier:
-                break
+                # The rest of this layer was checked as it was scanned.
+                return (BALANCED, label.parent)
             frontier = next_frontier
-        if not leaf_layer_reached and frontier:
-            # No leaf within the horizon: malformed (cyclic) region.  Fall
-            # back to full exploration to stay correct.
-            from repro.algorithms.generic import ball_to_instance, gather_component
-
-            ball = gather_component(view)
-            local = ball_to_instance(ball, view.n)
-            return reference_solution(local)[start]
-        return (BALANCED, label.parent)
-
-    def run_node_batch(self, oracle, nodes, tapes=None):
-        """Every start node's search over the oracle's predicate rows.
-
-        A node's row (:func:`_distance_row`) is what a fresh-memo
-        ``is_consistent`` and, for a consistent node, ``is_compatible``
-        answer there, with the port resolutions they issue; it covers
-        every predicate and child read the scalar :meth:`run` makes at
-        that node.  Each start replays the scalar loop over the rows:
-        the same frontier order with no ``seen`` set, the same first-hop
-        ports and the same layer limit, evaluating a node's row when the
-        scalar loop reaches it.  The profile is the
-        :func:`~repro.model.batched.resolution_profile` of those rows
-        (DESIGN.md §9.3).  A start that exhausts the horizon without a
-        leaf layer takes the scalar gather fallback, so it runs scalar.
-
-        ``None`` (the scalar loop) without a compiled oracle, and for any
-        subclass.
-        """
-        table = tree_table(oracle)
-        if type(self) is not BalancedTreeDistanceSolver or table is None:
-            return None
-        record = table.record
-        node_info = oracle.node_info
-        layers = _log2_ceil(oracle.n) + 3
-        triples = []
-        for start in nodes:
-            row, resolutions = record(_distance_row, start)
-            evaluated = {start: resolutions}
-            label = node_info(start).label
-            if row is None:
-                output = (BALANCED, None)
-            elif not row[0]:
-                output = (UNBALANCED, None)
-            elif row[1] is None:
-                output = (BALANCED, label.parent)
-            else:
-                output = _replay(record, start, label, layers, evaluated)
-                if output is None:
-                    output, profile = execute_at(oracle, self, start)
-                    triples.append((start, output, profile))
-                    continue
-            profile = resolution_profile(start, evaluated.values(), 0)
-            triples.append((start, output, profile))
-        return triples
+        # No leaf within the horizon: malformed (cyclic) region.  Fall
+        # back to full exploration to stay correct.
+        ball = gather_component(view)
+        return reference_solution(ball_to_instance(ball, view.n))[start]
 
 
 def _distance_row(topo, v):
@@ -180,40 +119,6 @@ def _distance_row(topo, v):
     if not is_internal(topo, v):
         return (compatible, None, None)
     return (compatible, left_child_node(topo, v), right_child_node(topo, v))
-
-
-def _replay(record, start, label, layers, evaluated):
-    """The scalar search from a compatible internal ``start``.
-
-    Returns its output, or ``None`` when no leaf layer lies within
-    ``layers`` layers (the scalar run's gather fallback).  ``evaluated``
-    gains the row of every node the scalar loop reaches, by node, when
-    it reaches it.
-    """
-    frontier = [(start, None)]
-    for _ in range(layers):
-        next_frontier = []
-        layer_has_leaf = False
-        for u, first_port in frontier:
-            row, evaluated[u] = record(_distance_row, u)
-            compatible, left, right = row
-            if u != start and not compatible:
-                return (UNBALANCED, first_port)
-            if left is None:
-                layer_has_leaf = True
-                continue
-            if u == start:
-                next_frontier.append((left, label.left_child))
-                next_frontier.append((right, label.right_child))
-            else:
-                next_frontier.append((left, first_port))
-                next_frontier.append((right, first_port))
-        if layer_has_leaf:
-            return (BALANCED, label.parent)
-        if not next_frontier:
-            break
-        frontier = next_frontier
-    return None
 
 
 @register_algorithm("balanced-tree/full-gather", problem="balanced-tree")

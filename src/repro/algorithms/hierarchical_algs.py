@@ -24,11 +24,15 @@ Implementation notes relative to the paper's pseudocode (Algorithm 2):
 * Truncated pointer walks automatically land in the dist > 2n^{1/k}
   branch (a truncated pointer has travelled 2n^{1/k}+1 steps), so
   neighboring executions always agree on which branch they are in.
+* A way-point decision is a function of the node's tape, so each
+  execution decides a node once and keeps the answer beside its
+  recursive values: a later test reads no bits.
 
 Every structure read goes through ``topo.row`` with a :class:`_Read`
-evaluator, so one copy of the recursion runs both live, over a
-:class:`~repro.model.views.ProbeTopology`, and replayed by
-``run_node_batch`` over a compiled oracle's table rows (DESIGN.md §9.3).
+evaluator, so the recursion is one body, ``_start``, that
+:class:`~repro.model.batched.ReplayedAlgorithm` runs live, over a
+:class:`~repro.model.views.ProbeTopology`, and replays per start over a
+compiled oracle's table rows (DESIGN.md §9.3).
 """
 
 from __future__ import annotations
@@ -46,15 +50,9 @@ from repro.graphs.tree_structure import (
     level_of,
     right_child_node,
 )
-from repro.model.batched import (
-    ReplayTopology,
-    ReplayView,
-    resolution_profile,
-    tree_table,
-)
-from repro.model.probe import ProbeAlgorithm, ProbeView
+from repro.model.batched import ReplayedAlgorithm, replayable
+from repro.model.probe import ProbeView
 from repro.model.randomness import RandomnessModel
-from repro.model.views import ProbeTopology
 from repro.algorithms.generic import FullGatherAlgorithm
 from repro.problems.hierarchical_thc import reference_solution
 from repro.registry import register_algorithm
@@ -91,7 +89,7 @@ class _Reads(NamedTuple):
     child: _Read
 
 
-class THCSolverBase(ProbeAlgorithm):
+class THCSolverBase(ReplayedAlgorithm):
     """Shared machinery for the hierarchical and hybrid THC solvers.
 
     Subclasses provide level-1 handling and the exemption predicate; the
@@ -125,32 +123,19 @@ class THCSolverBase(ProbeAlgorithm):
         return True
 
     # -- engine ----------------------------------------------------------
-    def run(self, view: ProbeView):
-        return self._start(view, ProbeTopology(view))
-
     def _start(self, view, topo):
         """Algorithm 2 at ``view.start``, reading structure through
         ``topo`` (live or replayed)."""
         self._memo: Dict[int, object] = {}
-        lvl = topo.row(self._reads.level, view.start)
-        if lvl > self.k:
+        self._waypoints: Dict[int, bool] = {}
+        lvl = self._start_level(view, topo)
+        if lvl is None or lvl > self.k:
             return EXEMPT
         return self._solve(view, topo, view.start, lvl)
 
-    def run_node_batch(self, oracle, nodes, tapes=None):
-        """Each start's :meth:`run`, replayed over the oracle's table rows.
-
-        Every start runs this solver's own :meth:`_start` over a
-        :class:`~repro.model.batched.ReplayTopology` and a
-        :class:`~repro.model.batched.ReplayView`, in node order, reading
-        its bits from ``tapes``; its profile follows from the rows and
-        records it read (DESIGN.md §9.3).  ``None`` (the scalar loop) for
-        any subclass, and when :func:`thc_replayer` declines.
-        """
-        if type(self) not in (RecursiveHTHC, WaypointHTHC):
-            return None
-        replay = thc_replayer(oracle, tapes, self)
-        return None if replay is None else [replay(self, v) for v in nodes]
+    def _start_level(self, view, topo):
+        """The start's level (Definition 5.1, capped at k + 1)."""
+        return topo.row(self._reads.level, view.start)
 
     def fallback(self, view: ProbeView):
         return EXEMPT
@@ -296,40 +281,7 @@ def _walk_backbone(topo, v, reads, limit):
     return list(reversed(backward)) + forward, False
 
 
-def thc_replayer(oracle, tapes, *solvers):
-    """A function ``(solver, start) -> (start, output, profile)`` that
-    replays one of ``solvers`` from ``start``, or ``None``.
-
-    The replay runs the solver's own :meth:`THCSolverBase._start` over a
-    fresh :class:`~repro.model.batched.ReplayTopology` and
-    :class:`~repro.model.batched.ReplayView`; a start's profile is the
-    :func:`~repro.model.batched.resolution_profile` of the rows and
-    gather records it read and the bits it counted (DESIGN.md §9.3).
-    ``None`` (the scalar loop) without a compiled oracle, and when a
-    randomized solver has no tape store or reads other than private
-    tapes.  The caller checks exact types: a subclass may override any
-    step.
-    """
-    table = tree_table(oracle)
-    if table is None:
-        return None
-    for solver in solvers:
-        if solver.is_randomized and (
-            tapes is None or solver.randomness is not RandomnessModel.PRIVATE
-        ):
-            return None
-
-    def replay(solver, start):
-        topo = ReplayTopology(table)
-        view = ReplayView(oracle, start, tapes)
-        output = solver._start(view, topo)
-        return start, output, resolution_profile(
-            start, topo.noted, view.random_bits, topo.gathers
-        )
-
-    return replay
-
-
+@replayable
 @register_algorithm(
     "hierarchical-thc(2)/recursive",
     problem="hierarchical-thc(2)",
@@ -349,6 +301,7 @@ class RecursiveHTHC(THCSolverBase):
         return DECLINE  # line 5-6: deep level-1 components decline
 
 
+@replayable
 @register_algorithm(
     "hierarchical-thc(2)/waypoint",
     problem="hierarchical-thc(2)",
@@ -378,11 +331,15 @@ class WaypointHTHC(RecursiveHTHC):
         return min(1.0, p)
 
     def _recursion_allowed(self, view: ProbeView, node: int) -> bool:
-        p = self._waypoint_probability(view)
-        x = 0
-        for i in range(_WAYPOINT_BITS):
-            x = (x << 1) | view.random_bit(node, i)
-        return x < p * (1 << _WAYPOINT_BITS)
+        """Whether ``node`` is a way-point, decided once per execution."""
+        allowed = self._waypoints.get(node)
+        if allowed is None:
+            p = self._waypoint_probability(view)
+            x = 0
+            for i in range(_WAYPOINT_BITS):
+                x = (x << 1) | view.random_bit(node, i)
+            allowed = self._waypoints[node] = x < p * (1 << _WAYPOINT_BITS)
+        return allowed
 
 
 @register_algorithm(

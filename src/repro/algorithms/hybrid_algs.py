@@ -20,18 +20,15 @@ import functools
 import math
 
 from repro.graphs.labelings import DECLINE, EXEMPT
-from repro.model.probe import CostProfile, ProbeAlgorithm, ProbeView
+from repro.model.batched import ReplayedAlgorithm, replayable
+from repro.model.probe import ProbeView
 from repro.model.randomness import RandomnessModel
 from repro.algorithms.balanced_tree_algs import BalancedTreeDistanceSolver
 from repro.algorithms.generic import (
     FullGatherAlgorithm,
     ball_to_instance,
 )
-from repro.algorithms.hierarchical_algs import (
-    RecursiveHTHC,
-    WaypointHTHC,
-    thc_replayer,
-)
+from repro.algorithms.hierarchical_algs import RecursiveHTHC, WaypointHTHC
 from repro.problems.balanced_tree import (
     _is_output_pair,
     reference_solution as balanced_reference,
@@ -41,10 +38,11 @@ from repro.model.views import Ball
 from repro.registry import register_algorithm
 
 
+@replayable
 @register_algorithm(
     "hybrid-thc(2)/distance", problem="hybrid-thc(2)", defaults={"k": 2}
 )
-class HybridDistanceSolver(ProbeAlgorithm):
+class HybridDistanceSolver(ReplayedAlgorithm):
     """Distance O(log n): level-1 answers BalancedTree, the rest go X."""
 
     def __init__(self, k: int) -> None:
@@ -52,43 +50,15 @@ class HybridDistanceSolver(ProbeAlgorithm):
         self.name = f"hybrid-thc({k})/distance"
         self._balanced = BalancedTreeDistanceSolver()
 
-    def run(self, view: ProbeView):
+    def _start(self, view, topo):
         lvl = view.start_info.label.level
         if lvl is None or lvl >= 2:
             return EXEMPT
-        return self._balanced.run(view)
-
-    def run_node_batch(self, oracle, nodes, tapes=None):
-        """Exempt starts answer at once; the rest go through the
-        BalancedTree batch.
-
-        A start at level ⊥ or ≥ 2 returns ``EXEMPT`` before any query,
-        so its profile is the start alone.  Every other start runs the
-        BalancedTree solver on the same view, so it takes that batch's
-        triple.  ``None`` (the scalar loop) for any subclass, and
-        whenever the BalancedTree batch declines.
-        """
-        if type(self) is not HybridDistanceSolver:
-            return None
-        node_info = oracle.node_info
-        exempt = []
-        for start in nodes:
-            lvl = node_info(start).label.level
-            exempt.append(lvl is None or lvl >= 2)
-        solved = self._balanced.run_node_batch(
-            oracle, [v for v, x in zip(nodes, exempt) if not x]
-        )
-        if solved is None:
-            return None
-        solved = iter(solved)
-        return [
-            (start, EXEMPT, CostProfile(1, 0, 0, 0)) if x else next(solved)
-            for start, x in zip(nodes, exempt)
-        ]
+        return self._balanced._start(view, topo)
 
 
 class _HybridTHCMixin:
-    """Entry point, level-1 handling and exemption predicate for Hybrid
+    """Start level, level-1 handling and exemption predicate for Hybrid
     solvers.
 
     Mixed into the hierarchical solver classes, ahead of them in the MRO:
@@ -97,23 +67,8 @@ class _HybridTHCMixin:
     predicate is "RC answered a (β, p) pair" (Definition 6.1).
     """
 
-    def _start(self, view, topo):
-        lvl = view.start_info.label.level
-        if lvl is None or lvl > self.k:
-            return EXEMPT
-        self._memo = {}
-        return self._solve(view, topo, view.start, lvl)
-
-    def run_node_batch(self, oracle, nodes, tapes=None):
-        """Each start's :meth:`run`, replayed as the hierarchical solvers
-        replay theirs, with every level-1 gather charged from its
-        component's record.  ``None`` for any subclass, and when
-        :func:`~repro.algorithms.hierarchical_algs.thc_replayer`
-        declines."""
-        if type(self) not in (HybridRecursiveSolver, HybridWaypointSolver):
-            return None
-        replay = thc_replayer(oracle, tapes, self)
-        return None if replay is None else [replay(self, v) for v in nodes]
+    def _start_level(self, view, topo):
+        return view.start_info.label.level
 
     def fallback(self, view: ProbeView):
         lvl = view.start_info.label.level
@@ -171,6 +126,7 @@ class _HybridTHCMixin:
         return super()._rc_supports_exemption(rc_value, lvl)
 
 
+@replayable
 @register_algorithm(
     "hybrid-thc(2)/recursive", problem="hybrid-thc(2)", defaults={"k": 2}
 )
@@ -182,6 +138,7 @@ class HybridRecursiveSolver(_HybridTHCMixin, RecursiveHTHC):
         self.name = f"hybrid-thc({k})/recursive"
 
 
+@replayable
 @register_algorithm(
     "hybrid-thc(2)/waypoint",
     problem="hybrid-thc(2)",

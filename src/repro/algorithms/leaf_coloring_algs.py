@@ -19,29 +19,45 @@ discussed in Section 7.4:
 
 from __future__ import annotations
 
+import functools
 import math
 
 from repro.graphs.tree_structure import (
     is_internal,
-    is_leaf,
     left_child_node,
     right_child_node,
 )
-from repro.model.batched import resolution_profile, tree_table
-from repro.model.probe import ProbeAlgorithm, ProbeView
+from repro.model.batched import ReplayedAlgorithm, replayable
+from repro.model.probe import ProbeView
 from repro.model.randomness import RandomnessModel
-from repro.model.views import ProbeTopology
 from repro.algorithms.generic import FullGatherAlgorithm
 from repro.problems.leaf_coloring import reference_solution
 from repro.registry import register_algorithm
 
 
+@functools.lru_cache(maxsize=128)
 def _log2_ceil(n: int) -> int:
     return max(1, math.ceil(math.log2(max(2, n))))
 
 
+def _internal_row(topo, v):
+    """The leaf-coloring solvers' read at ``v``, for a table row:
+    ``(is_internal(v), LC(v), RC(v), χin(v))``, both children ``None``
+    unless ``v`` is internal.
+
+    An internal node resolved both child ports on its way to the
+    verdict, so reading its children resolves nothing new, and a node
+    that is not internal reads no child; the color is its own label's.
+    """
+    color = topo.label(v).color
+    if not is_internal(topo, v):
+        return (False, None, None, color)
+    return (True, left_child_node(topo, v), right_child_node(topo, v), color)
+
+
+@replayable
 @register_algorithm("leaf-coloring/distance", problem="leaf-coloring")
-class LeafColoringDistanceSolver(ProbeAlgorithm):
+class LeafColoringDistanceSolver(ReplayedAlgorithm):
     """Proposition 3.9: deterministic distance O(log n).
 
     A non-internal node echoes its input color.  An internal node explores
@@ -54,98 +70,40 @@ class LeafColoringDistanceSolver(ProbeAlgorithm):
 
     name = "leaf-coloring/distance"
 
-    def run(self, view: ProbeView):
-        topo = ProbeTopology(view)
+    def _start(self, view, topo):
         start = view.start
-        if not is_internal(topo, start):
-            return view.start_info.label.color
-        limit = _log2_ceil(view.n) + 1
+        internal, left, right, own = topo.row(_internal_row, start)
+        if not internal:
+            return own
         # Breadth-first by layers; expansion order encodes LC < RC.
-        frontier = [start]
+        frontier = [(left, right)]
         seen = {start}
-        for _ in range(limit):
+        for _ in range(_log2_ceil(view.n) + 1):
             next_frontier = []
-            for u in frontier:
-                for child in (
-                    left_child_node(topo, u),
-                    right_child_node(topo, u),
-                ):
-                    if child is None or child in seen:
+            for children in frontier:
+                for child in children:
+                    if child in seen:
                         continue
                     seen.add(child)
-                    if is_leaf(topo, child):
-                        return view.info(child).label.color
-                    if is_internal(topo, child):
-                        next_frontier.append(child)
+                    internal, left, right, color = topo.row(
+                        _internal_row, child
+                    )
+                    if not internal:
+                        # A child of an internal node names it as its
+                        # parent, so a child that is not internal is a leaf.
+                        return color
+                    next_frontier.append((left, right))
             if not next_frontier:
                 break
             frontier = next_frontier
         # No leaf within the limit (cannot happen on well-formed inputs,
         # Lemma 3.8); echo the input color as a safe fallback.
-        return view.start_info.label.color
-
-    def run_node_batch(self, oracle, nodes, tapes=None):
-        """Every start node's search over the oracle's ``is_internal`` rows.
-
-        Each search replays the scalar :meth:`run`: the start's row, then
-        layers of LC-then-RC children with the same ``seen`` set and
-        layer limit, each new child's row, and the first leaf's color in
-        scalar order.  The scalar run resolves ports only inside
-        ``is_internal`` and ``is_leaf``.  A child of an internal node
-        names it as parent, so ``is_leaf(child)`` is ``not
-        is_internal(child)`` and its parent resolution is already in the
-        parent's row.  The profile is therefore the
-        :func:`~repro.model.batched.resolution_profile` of the rows the
-        search evaluated (DESIGN.md §9.3).
-
-        ``None`` (the scalar loop) without a compiled oracle, and for any
-        subclass.
-        """
-        table = tree_table(oracle)
-        if type(self) is not LeafColoringDistanceSolver or table is None:
-            return None
-        entry = table.entry
-        limit = _log2_ceil(oracle.n) + 1
-        triples = []
-        for start in nodes:
-            first = entry(start)
-            evaluated = [first.resolutions]
-            output = first.color
-            if first.internal:
-                leaf = _nearest_leaf(entry, start, first, limit, evaluated)
-                if leaf is not None:
-                    output = leaf.color
-            triples.append(
-                (start, output, resolution_profile(start, evaluated, 0))
-            )
-        return triples
+        return own
 
 
-def _nearest_leaf(entry, start, first, limit, evaluated):
-    """The scalar search's leaf row, or ``None``; appends each row read."""
-    frontier = [first]
-    seen = {start}
-    for _ in range(limit):
-        next_frontier = []
-        for row in frontier:
-            # Frontier rows are internal, so both children exist.
-            for child in (row.left, row.right):
-                if child in seen:
-                    continue
-                seen.add(child)
-                child_row = entry(child)
-                evaluated.append(child_row.resolutions)
-                if not child_row.internal:
-                    return child_row
-                next_frontier.append(child_row)
-        if not next_frontier:
-            break
-        frontier = next_frontier
-    return None
-
-
+@replayable
 @register_algorithm("leaf-coloring/rw-to-leaf", problem="leaf-coloring", seed=7)
-class RWtoLeaf(ProbeAlgorithm):
+class RWtoLeaf(ReplayedAlgorithm):
     """Algorithm 1: randomized volume O(log n) with high probability.
 
     The walk starts at the initiating node and repeatedly steps to the
@@ -169,97 +127,31 @@ class RWtoLeaf(ProbeAlgorithm):
         """The bit steering step ``step`` of the walk, taken at ``node``."""
         return view.random_bit(node, 0)
 
-    def run(self, view: ProbeView):
-        topo = ProbeTopology(view)
+    def _start(self, view, topo):
         start = view.start
-        if not is_internal(topo, start):
-            return view.start_info.label.color
-        max_steps = self.cap_factor * _log2_ceil(view.n) + 8
+        internal, left, right, color = topo.row(_internal_row, start)
+        if not internal:
+            return color
         current = start
-        for step in range(max_steps):
+        for step in range(self.cap_factor * _log2_ceil(view.n) + 8):
             bit = self._bit(view, current, step)
             if current == start and step > 0:
                 # Line 4: the walk revisited its origin; take the other
                 # child to leave the cycle.
                 bit = 1 - bit
-            nxt = (
-                left_child_node(topo, current)
-                if bit == 0
-                else right_child_node(topo, current)
-            )
-            if nxt is None:
-                # Current was internal, so both children exist; ``None``
-                # can only mean a malformed instance — echo input.
-                return view.info(current).label.color
-            if not is_internal(topo, nxt):
+            # Current is internal, so both children exist.
+            current = left if bit == 0 else right
+            internal, left, right, color = topo.row(_internal_row, current)
+            if not internal:
                 # Leaf or inconsistent: RWtoLeaf returns its input color.
-                return view.info(nxt).label.color
-            current = nxt
+                return color
         return self.fallback(view)
 
     def fallback(self, view: ProbeView):
         return view.start_info.label.color
 
-    def run_node_batch(self, oracle, nodes, tapes=None):
-        """Every start node's walk over the oracle's tree table.
 
-        Each walk takes the scalar :meth:`run`'s steps: the same bits,
-        read through the run's own ``tapes`` in the same order, the flip
-        on coming back to the start, the same step cap and outputs.  Its
-        profile is the one the scalar view would measure.  The scalar run
-        resolves ports only inside ``is_internal`` (an internal node's
-        children are resolved there before the walk reads them), so its
-        queries are the distinct resolutions of the nodes it evaluated,
-        its volume is the start plus their endpoints, its distance is a
-        BFS from the start over those edges, and it read one bit per
-        step.  Walks share nothing but the table (DESIGN.md §9.3).
-
-        ``None`` (the scalar loop) without a compiled oracle or a tape
-        store, and for any subclass: one may steer or fall back
-        otherwise.
-        """
-        walker = type(self)
-        table = tree_table(oracle)
-        if (
-            walker not in (RWtoLeaf, SecretRWtoLeaf)
-            or tapes is None
-            or table is None
-        ):
-            return None
-        secret = walker is SecretRWtoLeaf
-        tape_for = tapes.tape_for
-        entry = table.entry
-        max_steps = self.cap_factor * _log2_ceil(oracle.n) + 8
-        triples = []
-        for start in nodes:
-            first = entry(start)
-            walked = [first.resolutions]
-            output = first.color
-            steps = 0
-            if first.internal:
-                # SecretRWtoLeaf reads r_start(step), RWtoLeaf r_node(0).
-                own = tape_for(start) if secret else None
-                current, row = start, first
-                for step in range(max_steps):
-                    bit = own.bit(step) if secret else tape_for(current).bit(0)
-                    steps += 1
-                    if current == start and step > 0:
-                        bit = 1 - bit
-                    nxt = row.left if bit == 0 else row.right
-                    if nxt is None:
-                        output = row.color
-                        break
-                    row = entry(nxt)
-                    walked.append(row.resolutions)
-                    if not row.internal:
-                        output = row.color
-                        break
-                    current = nxt
-            profile = resolution_profile(start, walked, steps)
-            triples.append((start, output, profile))
-        return triples
-
-
+@replayable
 @register_algorithm(
     "leaf-coloring/secret-rw",
     problem="leaf-coloring",

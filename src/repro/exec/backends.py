@@ -48,7 +48,7 @@ to the scalar serial semantics, both enforced by the equivalence suites):
   pass over its ring, and the leaf-coloring random walks, the
   deterministic tree-distance solvers (LeafColoring, BalancedTree,
   Hybrid-THC, HH-THC) and the THC family's recursive and waypoint
-  solvers replay their predicates over the compiled oracle's tree
+  solvers replay their one scalar body over the compiled oracle's tree
   table, the randomized ones reading the run's own tape store.
 * **Zero-copy shared memory** — for a node run of a materialized
   instance, :class:`ProcessPoolBackend` publishes the frozen instance
@@ -61,6 +61,10 @@ to the scalar serial semantics, both enforced by the equivalence suites):
   any dispatch whose publish or attach failed — ships by pickle, with
   bit-identical results.  The segment is unlinked in a ``finally`` on
   every dispatch, with an ``atexit`` backstop.
+
+An entry point that takes a backend argument resolves it through
+:func:`owned_backend`: a spec string (or ``None``) builds a backend the
+entry point closes on return, and a backend object stays the caller's.
 
 One shortcut sits in the trial loop every backend and pool worker runs:
 a fixed-instance trial that read no random bit has the same outcome
@@ -84,6 +88,7 @@ DESIGN.md §11 for the fault model and the determinism argument.
 from __future__ import annotations
 
 import abc
+import contextlib
 import os
 import pickle
 import time
@@ -92,7 +97,16 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.exec import shm as shm_layer
 from repro.faults.plan import ShmAttachError, wrap_payload
@@ -1190,3 +1204,23 @@ def get_backend(spec=None) -> ExecutionBackend:
         f"unknown execution backend {spec!r} "
         f"(expected an ExecutionBackend, {BACKEND_SPEC_GRAMMAR})"
     )
+
+
+@contextlib.contextmanager
+def owned_backend(spec=None) -> Iterator[ExecutionBackend]:
+    """:func:`get_backend`'s backend for the ``with`` block, closed at
+    its end if it was built here.
+
+    A backend object passed in is the caller's and stays open.  Anything
+    else (a spec string, a :class:`BackendSpec`, ``None``) builds a
+    fresh backend that nobody else holds, so the block closes it on the
+    way out, exceptions included: a process pool left open keeps its
+    workers, and any shared-memory segment it published, alive until
+    the cyclic garbage collector finds it.
+    """
+    backend = get_backend(spec)
+    try:
+        yield backend
+    finally:
+        if backend is not spec:
+            backend.close()

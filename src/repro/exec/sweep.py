@@ -33,7 +33,7 @@ from repro.analysis.complexity_fit import (
     SweepMeasurement,
     format_sweep_row,
 )
-from repro.exec.backends import ExecutionBackend, get_backend
+from repro.exec.backends import ExecutionBackend, owned_backend
 
 
 class InstanceFamily:
@@ -368,70 +368,72 @@ def run_sweep(
     point is a deterministic run, so a restored point is bitwise what
     re-measuring would produce.
     """
-    backend = get_backend(backend)
-    stored: Dict[int, Dict[str, object]] = {}
-    if store is not None:
-        spec_key = spec.cache_key()
-        described = _jsonify(spec.describe())
-        stored_describe = store.sweep_describe(spec_key)
-        if stored_describe is not None and stored_describe != described:
-            # A 16-hex hash collision (or a mangled row): neither serve
-            # the foreign points nor mix ours under the same key.
-            store = None
-        else:
-            store.record_sweep_meta(
-                spec_key, spec.label, described, len(spec.family.params)
-            )
-            stored = store.sweep_points(spec_key)
-    result = SweepResult(spec=spec)
-    total = len(spec.family.params)
-    served = 0
-    for index, param in enumerate(spec.family.params, start=1):
-        row = stored.get(index - 1)
-        if row is not None:
-            result.points.append(
-                SweepPoint(
-                    param=param,
-                    n=row["n"],
-                    cost=row["cost"],
-                    elapsed=row["elapsed"],
-                    detail=row["detail"],
+    with owned_backend(backend) as engine:
+        stored: Dict[int, Dict[str, object]] = {}
+        if store is not None:
+            spec_key = spec.cache_key()
+            described = _jsonify(spec.describe())
+            stored_describe = store.sweep_describe(spec_key)
+            if stored_describe is not None and stored_describe != described:
+                # A 16-hex hash collision (or a mangled row): neither serve
+                # the foreign points nor mix ours under the same key.
+                store = None
+            else:
+                store.record_sweep_meta(
+                    spec_key, spec.label, described, len(spec.family.params)
                 )
+                stored = store.sweep_points(spec_key)
+        result = SweepResult(spec=spec)
+        total = len(spec.family.params)
+        served = 0
+        for index, param in enumerate(spec.family.params, start=1):
+            row = stored.get(index - 1)
+            if row is not None:
+                result.points.append(
+                    SweepPoint(
+                        param=param,
+                        n=row["n"],
+                        cost=row["cost"],
+                        elapsed=row["elapsed"],
+                        detail=row["detail"],
+                    )
+                )
+                served += 1
+                if progress is not None:
+                    progress(
+                        f"[{spec.label}] {index}/{total}: stored point "
+                        f"restored (n={row['n']})"
+                    )
+                continue
+            instance = spec.family.instance(param)
+            started = time.perf_counter()
+            cost, detail = spec.measure_point_detailed(
+                instance, param, engine
             )
-            served += 1
+            elapsed = time.perf_counter() - started
+            # Normalize the detail dict the way the store will, so a fresh
+            # result and its store-restored twin are identical (an int-keyed
+            # detail would otherwise come back str-keyed).
+            detail = None if detail is None else _jsonify(detail)
+            # .n, not .graph.num_nodes: implicit InstanceSpec points have no
+            # graph — their size is a closed-form property of the spec.
+            n = instance.n
+            point = SweepPoint(
+                param=param, n=n, cost=cost, elapsed=elapsed, detail=detail
+            )
+            result.points.append(point)
+            if store is not None:
+                # Per point, not per sweep: a killed campaign keeps every
+                # completed point.
+                _record_point_to_store(store, spec_key, index - 1, point)
             if progress is not None:
                 progress(
-                    f"[{spec.label}] {index}/{total}: stored point "
-                    f"restored (n={row['n']})"
+                    f"[{spec.label}] {index}/{total}: n={n} "
+                    f"{spec.metric if spec.measure is None else 'cost'}={cost:g} "
+                    f"({elapsed:.2f}s)"
                 )
-            continue
-        instance = spec.family.instance(param)
-        started = time.perf_counter()
-        cost, detail = spec.measure_point_detailed(instance, param, backend)
-        elapsed = time.perf_counter() - started
-        # Normalize the detail dict the way the store will, so a fresh
-        # result and its store-restored twin are identical (an int-keyed
-        # detail would otherwise come back str-keyed).
-        detail = None if detail is None else _jsonify(detail)
-        # .n, not .graph.num_nodes: implicit InstanceSpec points have no
-        # graph — their size is a closed-form property of the spec.
-        n = instance.n
-        point = SweepPoint(
-            param=param, n=n, cost=cost, elapsed=elapsed, detail=detail
-        )
-        result.points.append(point)
-        if store is not None:
-            # Per point, not per sweep: a killed campaign keeps every
-            # completed point.
-            _record_point_to_store(store, spec_key, index - 1, point)
-        if progress is not None:
-            progress(
-                f"[{spec.label}] {index}/{total}: n={n} "
-                f"{spec.metric if spec.measure is None else 'cost'}={cost:g} "
-                f"({elapsed:.2f}s)"
-            )
-    result.from_store = served == total and total > 0
-    return result
+        result.from_store = served == total and total > 0
+        return result
 
 
 def _record_point_to_store(store, spec_key: str, index: int, point) -> None:
@@ -463,22 +465,11 @@ def run_sweeps(
     every executed point across runs and serves stored points back;
     see :func:`run_sweep`.
     """
-    # A backend constructed *here* (from a spec string) is owned here:
-    # a process pool nobody else can reach must not outlive the batch.
-    # Caller-provided backend objects (and the shared default) are the
-    # caller's to close.
-    owned_backend = backend is not None and not isinstance(
-        backend, ExecutionBackend
-    )
-    backend = get_backend(backend)
-    try:
+    with owned_backend(backend) as engine:
         results = [
-            run_sweep(s, backend, progress=progress, store=store)
+            run_sweep(s, engine, progress=progress, store=store)
             for s in specs
         ]
-    finally:
-        if owned_backend:
-            backend.close()
     if progress is not None:
         served = sum(1 for r in results if r.from_store)
         progress(

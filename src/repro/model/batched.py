@@ -57,27 +57,32 @@ engine), and the kernel itself exists only on a compiled oracle.
 
 :class:`TreeTable` holds the predicate rows the tree batches replay
 (DESIGN.md §9.3): per node, what a fresh-memo predicate answers and which
-port resolutions it issues.  The random-walk cells and
-``leaf-coloring/distance`` read its ``is_internal`` rows, the BalancedTree
-distance solver (and Hybrid-THC and HH-THC through it) its
-:meth:`TreeTable.record` rows.  It reads no tape, so every run and trial
-on one compiled oracle shares it.  :func:`resolution_profile` turns the
-rows one start node evaluated into that start's scalar profile.
+port resolutions it issues, and one :class:`GatherRecord` per Hybrid-THC
+level-1 component.  It reads no tape, so every run and trial on one
+compiled oracle shares it.
 
-The THC solvers run their own scalar code per start over a
-:class:`ReplayTopology`, which answers each structure read from a
-:meth:`TreeTable.record` row and each Hybrid-THC level-1 gather from a
-:class:`GatherRecord`, one per component, and notes both, and a
-:class:`ReplayView`, which counts the tape bits the code reads.
+The random walks, the tree-distance solvers and the THC solvers each
+have one body, ``_start(view, topo)``, that reads structure only through
+``topo.row`` and ``topo.level_one_component``.  :class:`ReplayedAlgorithm`
+runs it live over a :class:`~repro.model.views.ProbeTopology` in ``run``
+and, in ``run_node_batch``, replays it per start over a
+:class:`ReplayTopology`, which answers each read from the table and notes
+it, and a :class:`ReplayView`, which counts the tape bits the body reads.
+:func:`resolution_profile` turns what a start noted into its scalar
+profile.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.graphs.tree_structure import is_internal
-from repro.model.probe import CostProfile
-from repro.model.views import Ball, gather_level_one_component
+from repro.model.probe import CostProfile, ProbeAlgorithm, execute_at
+from repro.model.randomness import RandomnessModel
+from repro.model.views import (
+    Ball,
+    ProbeTopology,
+    gather_level_one_component,
+)
 
 
 class CsrGatherKernel:
@@ -287,22 +292,6 @@ class CsrGatherKernel:
 Resolutions = Tuple[Tuple[Tuple[int, int], Optional[int]], ...]
 
 
-class TreeEntry(NamedTuple):
-    """One node's ``is_internal`` row of a :class:`TreeTable`."""
-
-    #: What ``is_internal(v)`` answers (Definition 3.3).
-    internal: bool
-    #: The nodes ``LC(v)`` / ``RC(v)`` lead to; ``None`` unless internal.
-    left: Optional[int]
-    right: Optional[int]
-    #: The node's input color χin.
-    color: object
-    #: ``((node, port), endpoint)`` for every distinct port resolution a
-    #: fresh-memo ``is_internal(v)`` issues, in issue order; ``endpoint``
-    #: is ``None`` for a dangling or out-of-range port.
-    resolutions: Resolutions
-
-
 class _RecordingTopology:
     """A :class:`~repro.graphs.tree_structure.Topology` over an oracle
     that records each distinct ``(node, port)`` resolution, memoized as
@@ -340,9 +329,9 @@ class TreeTable:
     each of those resolutions is one query, and a later evaluation in the
     same execution re-reads memoized resolutions without querying, so an
     execution that evaluates a set of rows has queried exactly the
-    distinct resolutions of those rows.  :meth:`entry` is the
-    ``is_internal`` row; :meth:`record` any other predicate's, and
-    :meth:`level_one_record` a Hybrid-THC level-1 gather.  Rows are
+    distinct resolutions of those rows.  :meth:`record` is a
+    predicate's row, and :meth:`level_one_record` a Hybrid-THC level-1
+    gather.  Rows are
     built as they are first asked for, so a run from a few start nodes
     pays only for the nodes it reaches.  One table is memoized per
     :class:`~repro.model.oracle.CompiledOracle` (see
@@ -356,21 +345,13 @@ class TreeTable:
     the oracle's validation topologies read (DESIGN.md §6.2).
     """
 
-    __slots__ = ("_info", "_resolve", "_internal", "_entries", "_records")
+    __slots__ = ("_info", "_resolve", "_internal", "_records")
 
     def __init__(self, lookup, internal: Dict[int, bool]) -> None:
         self._info = lookup.node_info
         self._resolve = lookup.resolve
         self._internal = internal
-        self._entries: Dict[int, TreeEntry] = {}
         self._records: Dict[object, Dict[int, object]] = {}
-
-    def entry(self, node_id: int) -> TreeEntry:
-        """``node_id``'s ``is_internal`` row, built on first use."""
-        entry = self._entries.get(node_id)
-        if entry is None:
-            entry = self._entries[node_id] = self._build(node_id)
-        return entry
 
     def record(self, evaluate, node_id: int) -> Tuple[object, Resolutions]:
         """``(evaluate(topology, node_id), resolutions)``, built on first use.
@@ -421,21 +402,6 @@ class TreeTable:
                 else:
                     records[node_id] = record
         return record
-
-    def _build(self, node_id: int) -> TreeEntry:
-        recorder = _RecordingTopology(self._info, self._resolve)
-        internal = self._internal[node_id] = is_internal(recorder, node_id)
-        resolved = recorder.resolved
-        label = self._info(node_id).label
-        left = right = None
-        if internal:
-            # An internal node resolved both child ports on its way to
-            # the verdict, so reading them records nothing new.
-            left = resolved[(node_id, label.left_child)]
-            right = resolved[(node_id, label.right_child)]
-        return TreeEntry(
-            internal, left, right, label.color, tuple(resolved.items())
-        )
 
 
 class _QueryLog:
@@ -506,18 +472,24 @@ class ReplayTopology:
     :func:`resolution_profile`.  Code that reads structure only through
     these runs unchanged over this and over a live
     :class:`~repro.model.views.ProbeTopology` (DESIGN.md §9.3); any other
-    read fails here.
+    read fails here.  A batch keeps one and empties both lists per start.
     """
 
-    __slots__ = ("_table", "noted", "gathers")
+    __slots__ = ("_table", "_rows", "noted", "gathers")
 
     def __init__(self, table: TreeTable) -> None:
         self._table = table
+        # The table's rows, read in place; a miss builds the row.
+        self._rows = table._records
         self.noted: List[Resolutions] = []
         self.gathers: List[GatherRecord] = []
 
     def row(self, evaluate, node_id: int):
-        value, resolutions = self._table.record(evaluate, node_id)
+        rows = self._rows.get(evaluate)
+        row = None if rows is None else rows.get(node_id)
+        if row is None:
+            row = self._table.record(evaluate, node_id)
+        value, resolutions = row
         if resolutions:
             self.noted.append(resolutions)
         return value
@@ -528,22 +500,30 @@ class ReplayTopology:
         return record.value
 
 
+class LiveQuery(Exception):
+    """A replayed body asked its :class:`ReplayView` for a live query,
+    which no table row answers."""
+
+
 class ReplayView:
     """What a replayed execution reads of its :class:`~repro.model.probe.
     ProbeView`: ``start``, ``start_info``, ``info``, ``n``, ``scope`` and
-    private-randomness bits.
+    private or secret randomness bits.
 
     Bits come from the run's :class:`~repro.model.randomness.TapeStore`,
     one read per call as the scalar context counts them, so replaying the
     scalar code in the scalar order leaves the store as the scalar loop
     would.  Neither the visited set nor tape visibility is checked: the
-    replayed code must read only nodes it has resolved (DESIGN.md §9.3).
+    replayed code must read only nodes it has resolved, and only tapes
+    its randomness model grants (DESIGN.md §9.3).  :meth:`query` raises
+    :class:`LiveQuery`.  A batch keeps one and sets :attr:`start` and
+    :attr:`random_bits` per start.
     """
 
     __slots__ = ("start", "n", "scope", "info", "random_bits", "_tape_for")
 
-    def __init__(self, oracle, start: int, tapes) -> None:
-        self.start = start
+    def __init__(self, oracle, tapes) -> None:
+        self.start = None
         self.n = oracle.n
         self.scope = oracle
         self.info = oracle.node_info
@@ -557,6 +537,9 @@ class ReplayView:
     def random_bit(self, node_id: int, index: int) -> int:
         self.random_bits += 1
         return self._tape_for(node_id).bit(index)
+
+    def query(self, node_id: int, port: int):
+        raise LiveQuery(node_id, port)
 
 
 def resolution_profile(
@@ -686,14 +669,98 @@ def tree_table(oracle) -> Optional[TreeTable]:
     return None if factory is None else factory()
 
 
+#: The tapes a :class:`ReplayView` reads as the scalar context does.
+_REPLAYED_TAPES = (RandomnessModel.PRIVATE, RandomnessModel.SECRET)
+
+
+def replayable(cls):
+    """Class decorator: a batch may replay ``cls``'s body.
+
+    It marks ``cls`` itself.  A subclass may override any step of the
+    body (a bit rule, a fallback, ``run``), so it runs scalar unless it
+    is marked too.
+    """
+    cls._replayed_type = cls
+    return cls
+
+
+class ReplayedAlgorithm(ProbeAlgorithm):
+    """A probe algorithm whose one body, ``_start(view, topo)``, reads
+    structure only through ``topo.row`` and ``topo.level_one_component``
+    (DESIGN.md §9.3).
+
+    :meth:`run` runs the body live over a
+    :class:`~repro.model.views.ProbeTopology`; :meth:`run_node_batch`
+    replays it per start over a compiled oracle's :class:`TreeTable`.
+    """
+
+    _replayed_type = None
+
+    def run(self, view):
+        return self._start(view, ProbeTopology(view))
+
+    def _start(self, view, topo):
+        raise NotImplementedError
+
+    def run_node_batch(self, oracle, nodes, tapes=None):
+        """Each start's body, replayed over the oracle's table rows.
+
+        The starts run in node order over one :class:`ReplayTopology`
+        and one :class:`ReplayView`, reading bits from ``tapes`` in the
+        scalar order, and each start's profile is the
+        :func:`resolution_profile` of the rows and gather records it
+        read and the bits it counted.  A start whose body asks its view
+        for a live query (:class:`LiveQuery`) runs scalar
+        :func:`~repro.model.probe.execute_at` instead.
+
+        ``None`` (the scalar loop) for any class not marked
+        :func:`replayable` itself, without a compiled oracle, and for a
+        randomized algorithm without a tape store or with public
+        randomness.  It decides before it reads a bit.
+        """
+        if type(self)._replayed_type is not type(self):
+            return None
+        table = tree_table(oracle)
+        if table is None:
+            return None
+        if self.is_randomized and (
+            tapes is None or self.randomness not in _REPLAYED_TAPES
+        ):
+            return None
+        topo = ReplayTopology(table)
+        view = ReplayView(oracle, tapes)
+        body = self._start
+        triples = []
+        for start in nodes:
+            topo.noted = noted = []
+            if topo.gathers:
+                topo.gathers = []
+            view.start = start
+            view.random_bits = 0
+            try:
+                output = body(view, topo)
+            except LiveQuery:
+                output, profile = execute_at(
+                    oracle, self, start, tape_store=tapes
+                )
+            else:
+                profile = resolution_profile(
+                    start, noted, view.random_bits, topo.gathers
+                )
+            triples.append((start, output, profile))
+        return triples
+
+
 __all__ = [
     "CsrGatherKernel",
     "GatherRecord",
+    "LiveQuery",
     "ReplayTopology",
     "ReplayView",
-    "TreeEntry",
+    "ReplayedAlgorithm",
     "TreeTable",
     "gather_kernel",
+    "replayable",
     "resolution_profile",
     "tree_table",
 ]

@@ -427,20 +427,16 @@ class ProbeAlgorithm:
         reads any.  Full-gather algorithms implement it over the
         flat-array CSR kernel (:mod:`repro.model.batched`); the cycle
         algorithms over one scalar execution, whose profile every start
-        node of a port-uniform cycle shares, and one pass over the ring;
-        the random-walk leaf-coloring algorithms and the tree-distance
-        solvers (LeafColoring, BalancedTree, and Hybrid-THC and HH-THC
-        through it) over the compiled oracle's tree table of predicate
-        rows, one replay of the scalar search per start node; the THC
-        solvers (hierarchical, Hybrid and HH-THC) by running their own
-        ``run`` recursion per start over a replay topology and view that
-        answer from those rows and charge each Hybrid level-1 gather from
-        a per-component record.  A start whose scalar run leaves what the
-        rows cover (BalancedTree's gather fallback) runs
-        :func:`execute_at` inside the batch.  Returning
-        ``None`` — the default, and the right answer whenever the
-        batch's argument does not cover ``oracle`` and ``nodes`` —
-        selects the scalar engine.
+        node of a port-uniform cycle shares, and one pass over the ring.
+        The random walks, the tree-distance solvers and the THC solvers
+        inherit it from :class:`~repro.model.batched.ReplayedAlgorithm`:
+        their one body, which :meth:`run` runs live, is replayed per
+        start over the compiled oracle's table of predicate rows and
+        level-1 gather records, and a start whose body asks for a live
+        query (BalancedTree's gather fallback) runs :func:`execute_at`
+        inside the batch.  Returning ``None`` — the default, and the
+        right answer whenever the batch's argument does not cover
+        ``oracle`` and ``nodes`` — selects the scalar engine.
         """
         return None
 

@@ -116,16 +116,17 @@ def run_algorithm(
     ``"process:4"``, or ``None`` for serial); all backends return
     identical results for identical seeds.
     """
-    from repro.exec.backends import get_backend
+    from repro.exec.backends import owned_backend
 
-    return get_backend(backend).run(
-        _coerce_source(instance),
-        algorithm,
-        nodes,
-        seed=seed,
-        max_volume=max_volume,
-        max_queries=max_queries,
-    )
+    with owned_backend(backend) as engine:
+        return engine.run(
+            _coerce_source(instance),
+            algorithm,
+            nodes,
+            seed=seed,
+            max_volume=max_volume,
+            max_queries=max_queries,
+        )
 
 
 @dataclass
@@ -190,19 +191,19 @@ def solve_and_check(
     batch — builds it once and passes it to every call: the instance is
     then materialized, and each label and port row read, once.
     """
-    from repro.exec.backends import get_backend
+    from repro.exec.backends import owned_backend
 
-    backend = get_backend(backend)
-    if topology is None:
-        topology = backend.validation_topology(instance)
-    run = run_algorithm(
-        instance,
-        algorithm,
-        seed=seed,
-        max_volume=max_volume,
-        max_queries=max_queries,
-        backend=backend,
-    )
+    with owned_backend(backend) as engine:
+        if topology is None:
+            topology = engine.validation_topology(instance)
+        run = run_algorithm(
+            instance,
+            algorithm,
+            seed=seed,
+            max_volume=max_volume,
+            max_queries=max_queries,
+            backend=engine,
+        )
     violations = problem.validate(topology.instance, run.outputs, topology)
     return SolveReport(run=run, valid=not violations, violations=violations)
 
@@ -228,17 +229,18 @@ def success_probability(
     once per trial; a :class:`~repro.exec.backends.ProcessPoolBackend`
     fans the trials out across workers.  The value is backend-independent.
     """
-    from repro.exec.backends import get_backend
+    from repro.exec.backends import owned_backend
 
-    return get_backend(backend).success_probability(
-        problem,
-        instance_factory,
-        algorithm,
-        trials,
-        base_seed=base_seed,
-        max_volume=max_volume,
-        max_queries=max_queries,
-    )
+    with owned_backend(backend) as engine:
+        return engine.success_probability(
+            problem,
+            instance_factory,
+            algorithm,
+            trials,
+            base_seed=base_seed,
+            max_volume=max_volume,
+            max_queries=max_queries,
+        )
 
 
 # Imported late to avoid a cycle: problems import model pieces too.

@@ -57,11 +57,12 @@ class ProbeTopology:
         """``evaluate(self, node_id)``, read live through this topology.
 
         ``evaluate`` is a predicate over the :class:`Topology` protocol.
-        A batch replays the same call from
-        :meth:`~repro.model.batched.TreeTable.record` rows instead
-        (:class:`~repro.model.batched.ReplayTopology`), so code that reads
-        structure through ``row`` and :meth:`level_one_component` runs
-        unchanged on either.
+        A batch answers the same call from a
+        :meth:`~repro.model.batched.TreeTable.record` row instead
+        (:class:`~repro.model.batched.ReplayTopology`), so an algorithm
+        body that reads structure only through ``row`` and
+        :meth:`level_one_component` is the one copy that runs live here
+        and replayed there (:class:`~repro.model.batched.ReplayedAlgorithm`).
         """
         return evaluate(self, node_id)
 

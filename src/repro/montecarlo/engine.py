@@ -48,7 +48,7 @@ from repro.exec.backends import (
     ExecutionBackend,
     FixedInstanceFactory,
     TrialOutcome,
-    get_backend,
+    owned_backend,
 )
 from repro.montecarlo.stats import METHODS, QuantileSketch, SuccessStats
 
@@ -338,16 +338,10 @@ def run_trials(
             "pass either resume= (in-memory) or store= (on-disk), not "
             "both — the store already replays completed trials"
         )
-    engine = get_backend(backend)
-    # Anything but a backend object (a spec string, or None) constructed
-    # a fresh backend nobody else holds: close it when the run ends, or a
-    # lazily started ProcessPoolExecutor (and any published shared-memory
-    # segment) leaks into interpreter teardown.
-    owned = not isinstance(backend, ExecutionBackend)
-    # The try covers everything from here on: even pre-loop failures
-    # (resume validation, a factory that raises) must close an owned
-    # pool and its shared-memory segments, not just loop exceptions.
-    try:
+    # The block covers everything from here on: even pre-loop failures
+    # (resume validation, a factory that raises) must close a pool built
+    # from a spec string, and its shared-memory segments.
+    with owned_backend(backend) as engine:
         factory = (
             instance_or_factory
             if callable(instance_or_factory)
@@ -425,9 +419,6 @@ def run_trials(
                 result.stopped = STOP_CONVERGED
         if backend_log is not None and len(backend_log) > log_mark:
             result.fault_log = backend_log.since(log_mark)
-    finally:
-        if owned:
-            engine.close()
     result.elapsed += time.perf_counter() - started
     return result
 

@@ -19,9 +19,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.model.batched as batched_module
 from repro.adversary.disjointness import TwoPartyReferee
 from repro.adversary.leaf_coloring import AdversarialTreeOracle
-from repro.algorithms import balanced_tree_algs
 from repro.algorithms.balanced_tree_algs import BalancedTreeDistanceSolver
 from repro.algorithms.hh_algs import HHDistanceSolver
 from repro.algorithms.hybrid_algs import HybridDistanceSolver
@@ -331,13 +331,13 @@ class TestBatchEqualsScalar:
         oracle = compile_oracle(instance)
         nodes = list(instance.graph.nodes())
         fallbacks = []
-        scalar = balanced_tree_algs.execute_at
+        scalar = batched_module.execute_at
 
         def spy(oracle, algorithm, node, **kwargs):
             fallbacks.append(node)
             return scalar(oracle, algorithm, node, **kwargs)
 
-        monkeypatch.setattr(balanced_tree_algs, "execute_at", spy)
+        monkeypatch.setattr(batched_module, "execute_at", spy)
         _assert_batch_matches_scalar(
             oracle, BalancedTreeDistanceSolver(), nodes
         )

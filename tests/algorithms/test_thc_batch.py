@@ -404,13 +404,38 @@ class TestBatchEqualsScalar:
         instance = hierarchical_thc_instance(
             2, 3, rng=random.Random(1), lengths=[3, 40]
         )
-        # At factor 0.3 some nodes are not way-points, so a start reads
-        # their 24 bits again at every rc_declines call.
+        # At factor 0.3 some nodes are not way-points, so a start's
+        # pointer walks pass them and read the 24 bits of each.
         batched = _assert_batch_matches_scalar(
             compile_oracle(instance), lambda: WaypointHTHC(2, factor=0.3),
             list(instance.graph.nodes()), 3,
         )
         assert max(p.random_bits for _, _, p in batched) > 24
+
+
+class TestWaypointDecidedOnce:
+    @pytest.mark.parametrize("factor, bits", [(0.3, 2472), (1.0, 960)])
+    def test_each_node_is_decided_once_per_execution(self, factor, bits):
+        # Algorithm 2 may test one node three times (line 7 and both
+        # pointer walks); the execution reads its 24 bits once.
+        instance = hierarchical_thc_instance(
+            2, 3, rng=random.Random(1), lengths=[3, 40]
+        )
+        oracle = compile_oracle(instance)
+        nodes = list(instance.graph.nodes())
+        make = lambda: WaypointHTHC(2, factor=factor)
+        batched = _assert_batch_matches_scalar(oracle, make, nodes, 3)
+        assert sum(p.random_bits for _, _, p in batched) == bits
+        reference = run_algorithm(
+            instance, make(), seed=3, backend=SerialBackend(compiled=False)
+        )
+        assert sum(p.random_bits for p in reference.profiles.values()) == bits
+        tapes = _LoggedTapes(3)
+        for v in nodes:
+            mark = len(tapes.reads)
+            make().run_node_batch(oracle, [v], tapes)
+            reads = tapes.reads[mark:]
+            assert len(reads) == 24 * len(set(reads))
 
 
 class TestLevelTwoSubSolve:

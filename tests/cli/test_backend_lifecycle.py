@@ -122,16 +122,11 @@ class TestRunSweepsOwnership:
             ),
         )
 
-    def test_string_spec_backend_is_closed(self, monkeypatch):
-        import repro.exec.sweep as sweep_module
+    def test_string_spec_backend_is_closed(self, tracked):
         from repro.exec.sweep import run_sweeps
 
-        backend = TrackingBackend()
-        monkeypatch.setattr(
-            sweep_module, "get_backend", lambda spec=None: backend
-        )
         run_sweeps([self._spec()], "serial")
-        assert backend.close_calls == 1
+        assert tracked.close_calls == 1
 
     def test_caller_backend_object_is_left_open(self):
         from repro.exec.sweep import run_sweeps

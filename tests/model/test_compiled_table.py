@@ -20,7 +20,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms.leaf_coloring_algs import LeafColoringDistanceSolver
+from repro.algorithms.leaf_coloring_algs import (
+    LeafColoringDistanceSolver,
+    _internal_row,
+)
 from repro.exec.backends import SerialBackend
 from repro.graphs import tree_structure
 from repro.graphs.generators import (
@@ -76,7 +79,7 @@ def _fill_tree_rows(oracle, instance):
     """Build every node's ``is_internal`` row, as a tree batch would."""
     table = oracle.tree_table()
     for v in instance.graph.nodes():
-        table.entry(v)
+        table.record(_internal_row, v)
 
 
 class TestTopologyEqualsInstanceTopology:
@@ -150,7 +153,7 @@ class TestCopiesKeepTheOracleIntact:
         with pytest.raises(PortGraphError):
             oracle.node_info(unknown)
         with pytest.raises(PortGraphError):
-            oracle.tree_table().entry(unknown)
+            oracle.tree_table().record(_internal_row, unknown)
         # The oracle's answers for known nodes are untouched too.
         reference = StaticOracle(instance)
         for v in instance.graph.nodes():
@@ -252,7 +255,7 @@ class TestNoReferenceCycles:
         instance = leaf_coloring_instance(4, rng=random.Random(7))
         oracle = compile_oracle(instance)
         start = next(iter(instance.graph.nodes()))
-        oracle.tree_table().entry(start)
+        oracle.tree_table().record(_internal_row, start)
         kernel = oracle.gather_kernel()
         kernel.ball(start, 3)
         topology = oracle.validation_topology()
